@@ -21,6 +21,11 @@ Two modes:
      catalog (artifacts + result cache).  Acceptance: >= 10x;
   3. **st-flow, warm / distinct pairs** — artifact reuse only (every
      pair still solves), the steady-state cost of new queries;
+  3b. **st-cut after its flow** — a cut of each of those pairs, served
+     right after its flow: the memoized flow plus one residual sweep
+     (Theorem 6.1), against a cold cut of the same pair on a catalog
+     that holds the solver but no memoized flow.  Acceptance: the cut
+     after its flow costs <= 0.1x the cold cut;
   4. **dual distance, cold** — one Theorem 2.1 labeling build per
      query, measured twice: the legacy recursion (what every miss paid
      before the engine labeling path of DESIGN.md §9) and the served
@@ -42,10 +47,16 @@ import pytest
 from _json_out import add_json_arg, emit_json
 
 from repro.bdd import build_bdd
-from repro.core import flow_value_networkx, max_st_flow, weighted_girth
+from repro.core import (
+    flow_value_networkx,
+    max_st_flow,
+    min_st_cut,
+    weighted_girth,
+)
 from repro.labeling import DualDistanceLabeling
 from repro.planar.generators import grid, randomize_weights
 from repro.service import (
+    CutQuery,
     DistanceQuery,
     FlowQuery,
     GirthQuery,
@@ -169,6 +180,31 @@ def main(argv=None):
           f"({_fmt_qps(1.0 / distinct_s)} q/s)  "
           f"amortization {cold_s / distinct_s:.2f}x")
 
+    # -- 3b. st-cut right after its flow vs a cold cut of the same pair
+    cut_pairs = list(dict.fromkeys(pairs))
+    cold_catalog = GraphCatalog()
+    cold_catalog.register(name, g)
+    cold_catalog.get(name).flow_solver()  # warm solver, no results
+    cut_cold_s = cut_after_s = 0.0
+    for a, b in cut_pairs:
+        t0 = time.perf_counter()
+        cold_cut = cold_catalog.serve(CutQuery(name, a, b))
+        cut_cold_s += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        after = catalog.serve(CutQuery(name, a, b))
+        cut_after_s += time.perf_counter() - t0
+        assert not cold_cut.warm and not after.warm
+        assert after.result == cold_cut.result == \
+            min_st_cut(g, a, b, backend="engine"), "cut mismatch"
+    cut_cold_s /= len(cut_pairs)
+    cut_after_s /= len(cut_pairs)
+    cut_ratio = cut_after_s / cut_cold_s
+    print(f"st-cut   cold          : {cut_cold_s * 1e3:8.1f} ms/query "
+          f"({_fmt_qps(1.0 / cut_cold_s)} q/s)")
+    print(f"st-cut   after its flow: {cut_after_s * 1e3:8.3f} ms/query "
+          f"({_fmt_qps(1.0 / cut_after_s)} q/s)  "
+          f"{cut_ratio:.3f}x the cold cut")
+
     # -- girth through the same catalog (oracle warm on repeat)
     gq = catalog.serve(GirthQuery(name))
     assert gq.result == weighted_girth(g, backend="engine")
@@ -216,10 +252,13 @@ def main(argv=None):
 
     ok_flow = flow_speedup >= 10.0
     ok_dist = dist_speedup >= 100.0
+    ok_cut = cut_ratio <= 0.1
     print(f"acceptance (flow warm/cold >= 10x)      : "
           f"{'PASS' if ok_flow else 'FAIL'} ({flow_speedup:,.0f}x)")
     print(f"acceptance (distance warm/cold >= 100x) : "
           f"{'PASS' if ok_dist else 'FAIL'} ({dist_speedup:,.0f}x)")
+    print(f"acceptance (cut-after-flow/cold <= 0.1) : "
+          f"{'PASS' if ok_cut else 'FAIL'} ({cut_ratio:.3f}x)")
     emit_json(args.json, "service", {
         "instance": {"rows": args.rows, "cols": args.cols, "n": g.n,
                      "m": g.m},
@@ -227,12 +266,15 @@ def main(argv=None):
         "flow_warm_repeated_s": warm_flow_s,
         "flow_warm_distinct_s": distinct_s,
         "flow_speedup": flow_speedup,
+        "cut_cold_s": cut_cold_s,
+        "cut_after_flow_s": cut_after_s,
+        "cut_after_flow_ratio": cut_ratio,
         "distance_cold_legacy_s": cold_legacy_s,
         "distance_cold_served_s": cold_dist_s,
         "distance_warm_s": warm_dist_s,
         "distance_speedup": dist_speedup,
-    }, ok_flow and ok_dist)
-    return 0 if (ok_flow and ok_dist) else 1
+    }, ok_flow and ok_dist and ok_cut)
+    return 0 if (ok_flow and ok_dist and ok_cut) else 1
 
 
 if __name__ == "__main__":

@@ -42,16 +42,17 @@ def min_st_cut(graph, s, t, directed=True, leaf_size=None, ledger=None,
     array kernel of :mod:`repro.engine` (identical output, no round
     audit); the residual sweep below is backend-independent.
 
-    ``solver`` lets batched callers (the serving layer of
-    :mod:`repro.service`) reuse one prebuilt :class:`PlanarMaxFlow` —
-    and hence its probe-invariant BDD / compiled-CSR / workspace
-    structures — across many ``(s, t)`` pairs.  The solver must have
-    been built for the same graph and direction convention, and it
-    *carries its own* backend, leaf size and (absent) ledger — passing
-    ``ledger`` alongside ``solver`` raises rather than silently
-    recording an empty audit.  The result is identical to the per-call
-    path because ``min_st_cut`` without a solver builds exactly this
-    object.
+    ``solver`` lets batched callers reuse one prebuilt
+    :class:`PlanarMaxFlow` — and hence its probe-invariant BDD /
+    compiled-CSR / workspace structures — across many ``(s, t)`` pairs.
+    The solver must have been built for the same graph and direction
+    convention, and it *carries its own* backend, leaf size and (absent)
+    ledger — passing ``ledger`` alongside ``solver`` raises rather than
+    silently recording an empty audit.  The result is identical to the
+    per-call path because ``min_st_cut`` without a solver builds exactly
+    this object.  Only ``graph``, ``directed``, ``backend`` and
+    ``solve(s, t)`` are used: the serving layer of :mod:`repro.service`
+    passes a solver whose ``solve`` returns the pair's memoized flow.
     """
     if solver is None:
         solver = PlanarMaxFlow(graph, directed=directed,
@@ -68,19 +69,32 @@ def min_st_cut(graph, s, t, directed=True, leaf_size=None, ledger=None,
                              "run")
         backend = solver.backend
     res = solver.solve(s, t)
-
-    # residual capacities per dart
-    resid = {}
-    for eid in range(graph.m):
-        x = res.flow[eid]
-        resid[2 * eid] = solver.cap[2 * eid] - x
-        resid[2 * eid + 1] = solver.cap[2 * eid + 1] + x
-
     # source side = residual reachability from s (the R' SSSP of §6.2,
     # charged as one more labeling-scale computation)
     if ledger is not None and backend == "legacy":
         ledger.charge(graph.eccentricity(s) ** 2 + 1, "mincut/residual-sssp",
                       ref="Theorem 6.1 via [27] SSSP")
+    return _cut_from_flow(graph, s, t, res, directed)
+
+
+def _cut_from_flow(graph, s, t, res, directed):
+    """The min st-cut of a max st-flow ``res`` (Theorem 6.1): the source
+    side is everything reachable from ``s`` in the residual graph.
+
+    Reads only ``res`` and the graph's current capacities, not the
+    solver that produced ``res`` — so a served cut can run it on a
+    memoized :class:`~repro.core.maxflow.MaxFlowResult` of the same
+    ``(graph, s, t, directed)`` instead of solving the flow again.
+    """
+    # residual capacity per dart (dart capacities as in
+    # maxflow.dart_capacities: directed edges (c, 0), undirected (c, c))
+    resid = {}
+    for eid in range(graph.m):
+        c = graph.capacities[eid]
+        x = res.flow[eid]
+        resid[2 * eid] = c - x
+        resid[2 * eid + 1] = (0 if directed else c) + x
+
     side = {s}
     q = deque([s])
     while q:

@@ -2,7 +2,8 @@
 
 Pre-warms a worker pool (optionally with a demo grid so a bare
 invocation is immediately queryable), forks the workers, then accepts
-NDJSON clients until interrupted:
+NDJSON clients until interrupted (SIGINT or SIGTERM; either one stops
+the workers before the process exits):
 
     PYTHONPATH=src python -m repro.server --host 127.0.0.1 --port 8423 \\
         --workers 2 --rows 12 --cols 16
@@ -18,6 +19,7 @@ ephemeral ``--port 0`` binding.
 from __future__ import annotations
 
 import argparse
+import signal
 
 from repro.server.app import QueryServer
 from repro.server.pool import WarmWorkerPool
@@ -80,6 +82,10 @@ def main(argv=None):
     took = pool.prewarm(kinds=kinds) \
         if kinds and pool.catalog.names() else {}
     pool.start()
+    # a SIGTERM (service managers, ``Popen.terminate``) unwinds like ^C,
+    # so the ``finally`` below still stops the forked workers; installed
+    # after the fork so the workers keep the default handler
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
 
     server = QueryServer(pool, host=args.host, port=args.port)
     host, port = server.address

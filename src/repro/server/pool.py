@@ -376,6 +376,7 @@ class WarmWorkerPool:
             proc.join(timeout=5)
             if proc.is_alive():
                 proc.terminate()
+                proc.join(timeout=5)  # reap, so no zombie outlives us
         if self._result_q is not None:
             self._result_q.put(None)
         if self._collector is not None:

@@ -26,7 +26,11 @@ catalog offers:
 
 Results are *bit-identical* to the corresponding per-call entry point
 on both backends (``tests/test_service.py``): the dispatch constructs
-exactly the objects the one-shot functions construct, just cached.
+exactly the objects the one-shot functions construct, just cached.  A
+cut is its pair's flow plus one residual sweep (Theorem 6.1), so a
+:class:`CutQuery` reuses the memoized :class:`FlowQuery` result of the
+same ``(s, t, directed)`` — and memoizes it on a miss, leaving the
+flow warm.
 
 **Ownership**: memoization means a warm hit returns the *same* result
 object every caller of that query sees (that sharing is the speedup).
@@ -221,9 +225,14 @@ def execute_query(catalog, query, planner=None):
         return r
 
 
-def _serve(catalog, entry, query, backend):
-    """The uninstrumented serving core (cache probe + dispatch)."""
-    fp = entry.fingerprint()
+def _serve(catalog, entry, query, backend, fp=None):
+    """The uninstrumented serving core (cache probe + dispatch).
+
+    ``fp`` is the entry's current fingerprint when the caller already
+    has it (a cut serving its sibling flow).
+    """
+    if fp is None:
+        fp = entry.fingerprint()
 
     t0 = time.perf_counter()
     key = ("result", query.graph, query, backend, fp.weights,
@@ -233,13 +242,33 @@ def _serve(catalog, entry, query, backend):
         return QueryResult(query=query, backend=backend, result=cached,
                            warm=True, seconds=time.perf_counter() - t0)
 
-    result = _dispatch(entry, query, backend)
+    result = _dispatch(catalog, entry, query, backend, fp)
     catalog.results.put(key, result)
     return QueryResult(query=query, backend=backend, result=result,
                        warm=False, seconds=time.perf_counter() - t0)
 
 
-def _dispatch(entry, query, backend):
+class _ServedFlow:
+    """The ``solver=`` a served cut hands :func:`~repro.core.min_st_cut`:
+    :meth:`solve` answers the cut's sibling :class:`FlowQuery` through
+    :func:`_serve`, so a memoized flow is reused and a missing one is
+    solved once and memoized for later flow queries of the pair."""
+
+    def __init__(self, catalog, entry, flow_query, backend, fp):
+        self.graph = entry.graph
+        self.directed = flow_query.directed
+        self.backend = backend
+        self._serve_args = (catalog, entry, flow_query, backend, fp)
+
+    def solve(self, s, t):
+        served = _serve(*self._serve_args)
+        if obs.enabled():
+            obs.inc("service.cut.flow.hit" if served.warm
+                    else "service.cut.flow.miss")
+        return served.result
+
+
+def _dispatch(catalog, entry, query, backend, fp):
     """Run the underlying entry point with the catalog's artifacts."""
     if isinstance(query, FlowQuery):
         solver = entry.flow_solver(directed=query.directed,
@@ -250,12 +279,15 @@ def _dispatch(entry, query, backend):
     if isinstance(query, CutQuery):
         from repro.core import min_st_cut
 
-        solver = entry.flow_solver(directed=query.directed,
-                                   backend=backend,
-                                   leaf_size=query.leaf_size)
+        # Theorem 6.1: the cut is the max flow plus one residual sweep,
+        # and the flow is the pair's own (memoized) FlowQuery
+        flow = FlowQuery(query.graph, query.s, query.t,
+                         directed=query.directed, backend=query.backend,
+                         validate=True, leaf_size=query.leaf_size)
         return min_st_cut(entry.graph, query.s, query.t,
-                          directed=query.directed, backend=backend,
-                          solver=solver)
+                          directed=query.directed,
+                          solver=_ServedFlow(catalog, entry, flow,
+                                             backend, fp))
 
     if isinstance(query, GirthQuery):
         from repro.core import weighted_girth

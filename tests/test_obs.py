@@ -16,6 +16,7 @@ from repro.errors import ProtocolError, ServiceError
 from repro.planar.generators import grid, randomize_weights
 from repro.server import QueryServer, ServiceClient, WarmWorkerPool
 from repro.service import (
+    CutQuery,
     DistanceQuery,
     FlowQuery,
     GirthQuery,
@@ -198,6 +199,22 @@ class TestSpans:
         assert snap["service.result.miss"]["value"] == 1
         assert snap["service.result.hit"]["value"] == 1
         assert snap["service.query_seconds.DistanceQuery"]["count"] == 2
+
+    def test_cut_counts_sibling_flow_reuse(self):
+        obs.enable(obs.RingBufferSink())
+        catalog = GraphCatalog()
+        g = make_grid(3, 3)
+        catalog.register("g", g)
+        execute_query(catalog, CutQuery("g", 0, g.n - 1))  # flow miss
+        execute_query(catalog, FlowQuery("g", 1, g.n - 1))
+        execute_query(catalog, CutQuery("g", 1, g.n - 1))  # flow hit
+        execute_query(catalog, CutQuery("g", 1, g.n - 1))  # cut hit
+        snap = obs.registry().snapshot()
+        assert snap["service.cut.flow.miss"]["value"] == 1
+        assert snap["service.cut.flow.hit"]["value"] == 1
+        # the sibling lookup is not a served query of its own
+        assert snap["service.result.miss"]["value"] == 3
+        assert snap["service.result.hit"]["value"] == 1
 
     def test_ndjson_sink_round_trips(self, tmp_path):
         path = tmp_path / "obs.ndjson"
@@ -502,5 +519,6 @@ def test_disabled_layer_costs_nothing_visible():
     cold = execute_query(catalog, q)
     warm = execute_query(catalog, q)
     assert warm.warm is True and warm.result == cold.result
+    execute_query(catalog, CutQuery("g", 0, 8))  # no reuse counters
     assert obs.registry().snapshot() == {}
     assert obs.sinks() == []

@@ -707,6 +707,37 @@ def test_mutate_cycle_raise_travels_wire_from_serving_catalog():
         server.pool.close()
 
 
+def flow_then_cut_queries(name, g):
+    """Flow-then-cut on the same pairs, both directions: the cut reuses
+    its pair's memoized flow wherever the flow landed first."""
+    out = []
+    for directed in (True, False):
+        for s, t in ((0, g.n - 1), (2, g.n - 3)):
+            out += [FlowQuery(name, s, t, directed=directed),
+                    CutQuery(name, s, t, directed=directed)]
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 0])
+def test_cut_after_flow_served_parity(workers):
+    # workers=1: through the forked pool; workers=0: over the wire from
+    # the server's own catalog.  Reuse is per catalog, so only equality
+    # is asserted, not warmth
+    g = make_grid(4, 4, seed=17)
+    queries = flow_then_cut_queries("g", g)
+    expected = reference_results(g, queries)
+    with WarmWorkerPool(workers=workers) as pool:
+        pool.register("g", g)
+        assert pool.run(queries).values() == expected
+    server = serve(graphs={"g": g}, workers=workers, prewarm=("flow",))
+    try:
+        with ServiceClient(*server.address, timeout=60) as client:
+            assert client.run(queries).values() == expected
+    finally:
+        server.shutdown()
+        server.pool.close()
+
+
 def test_serve_helper_builds_and_serves():
     g = make_grid(3, 4, seed=5)
     server = serve(graphs={"g": g}, workers=0, prewarm=("flow",))
@@ -898,7 +929,22 @@ class TestServerCLI:
                             raise
                         time.sleep(0.1)
                 report = client.run(queries)
+                pids = [row["pid"] for row in
+                        client.stats(worker_catalogs=False)["occupancy"]]
             assert report.values() == expected
+            assert len(pids) == 1 and proc.pid not in pids
         finally:
             proc.terminate()
             proc.wait(timeout=15)
+        # SIGTERM unwinds like ^C: the server closes its pool, so no
+        # forked worker outlives it
+        deadline = time.monotonic() + 10
+        for pid in pids:
+            while True:
+                try:
+                    os.kill(pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, \
+                    f"worker {pid} outlived its terminated server"
+                time.sleep(0.05)

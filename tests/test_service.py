@@ -15,9 +15,14 @@ from repro.aggregation.dual_sim import DualMAHost
 from repro.bdd import build_bdd
 from repro.core import max_st_flow, min_st_cut, weighted_girth
 from repro.engine import compile_graph
-from repro.errors import ServiceError
+from repro.errors import InfeasibleFlowError, ServiceError
 from repro.labeling import DualDistanceLabeling
-from repro.planar.generators import grid, randomize_weights, wheel
+from repro.planar.generators import (
+    grid,
+    random_planar,
+    randomize_weights,
+    wheel,
+)
 from repro.service import (
     BatchReport,
     CutQuery,
@@ -352,6 +357,120 @@ class TestStaleness:
         assert got.warm is False
         lab = DualDistanceLabeling(build_bdd(g), default_dual_lengths(g))
         assert got.result == lab.distance(1, 3)
+
+
+# ----------------------------------------------------------------------
+# a cut is its pair's memoized flow plus one residual sweep
+# ----------------------------------------------------------------------
+CUT_FAMILIES = {
+    "grid": lambda: make_grid(4, 5, seed=3),
+    "random_planar": lambda: randomize_weights(
+        random_planar(14, seed=4), seed=6, directed_capacities=True),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CUT_FAMILIES))
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("directed", [True, False])
+class TestCutReusesFlow:
+    def setup_catalog(self, family):
+        g = CUT_FAMILIES[family]()
+        cat = GraphCatalog()
+        cat.register("g", g)
+        return g, cat
+
+    def queries(self, g, backend, directed, s=0, t=None):
+        t = g.n - 1 if t is None else t
+        return (FlowQuery("g", s, t, directed=directed, backend=backend),
+                CutQuery("g", s, t, directed=directed, backend=backend))
+
+    def test_cut_after_flow_equals_cold_min_st_cut(self, family, backend,
+                                                   directed):
+        g, cat = self.setup_catalog(family)
+        fq, cq = self.queries(g, backend, directed)
+        flow = cat.serve(fq)
+        cut = cat.serve(cq)
+        assert cut.warm is False
+        assert cut.result == min_st_cut(g, 0, g.n - 1, directed=directed,
+                                        backend=backend)
+        # the sweep ran on the memoized flow, not on a second solve
+        assert cut.result.flow is flow.result.flow
+
+    def test_cut_first_leaves_flow_warm(self, family, backend, directed):
+        g, cat = self.setup_catalog(family)
+        fq, cq = self.queries(g, backend, directed, s=1, t=g.n - 2)
+        cut = cat.serve(cq)
+        flow = cat.serve(fq)
+        assert flow.warm is True
+        assert flow.result == max_st_flow(g, 1, g.n - 2,
+                                          directed=directed,
+                                          backend=backend)
+        assert cut.result == min_st_cut(g, 1, g.n - 2, directed=directed,
+                                        backend=backend)
+        assert cat.serve(cq).warm is True
+
+    def test_weight_and_capacity_changes(self, family, backend, directed):
+        g, cat = self.setup_catalog(family)
+        fq, cq = self.queries(g, backend, directed)
+        cat.serve(cq)
+        # weights only: flow and cut read capacities, so both migrate
+        report = cat.mutate_weights("g", {0: g.weights[0] + 7})
+        assert report["results_migrated"] == 2
+        flow, cut = cat.serve(fq), cat.serve(cq)
+        assert flow.warm is True and cut.warm is True
+        assert flow.result == max_st_flow(g, 0, g.n - 1,
+                                          directed=directed,
+                                          backend=backend)
+        assert cut.result == min_st_cut(g, 0, g.n - 1, directed=directed,
+                                        backend=backend)
+        # capacities: both are recomputed against the new capacities
+        cat.set_weights("g", capacities=[c + 3 * (eid % 4) for eid, c
+                                         in enumerate(g.capacities)])
+        cut, flow = cat.serve(cq), cat.serve(fq)
+        assert cut.warm is False and flow.warm is True
+        assert flow.result == max_st_flow(g, 0, g.n - 1,
+                                          directed=directed,
+                                          backend=backend)
+        assert cut.result == min_st_cut(g, 0, g.n - 1, directed=directed,
+                                        backend=backend)
+
+    def test_errors_unchanged(self, family, backend, directed):
+        g, cat = self.setup_catalog(family)
+        with pytest.raises(InfeasibleFlowError) as want:
+            min_st_cut(g, 2, 2, directed=directed, backend=backend)
+        with pytest.raises(InfeasibleFlowError) as got:
+            cat.serve(CutQuery("g", 2, 2, directed=directed,
+                               backend=backend))
+        assert str(got.value) == str(want.value) == "s == t"
+        # a negative capacity makes the flow solve itself raise; the
+        # cut raises the same error and memoizes nothing
+        g.capacities[0] = -50
+        fq, cq = self.queries(g, backend, directed)
+        with pytest.raises(InfeasibleFlowError) as want:
+            min_st_cut(g, 0, g.n - 1, directed=directed, backend=backend)
+        for _ in range(2):
+            with pytest.raises(InfeasibleFlowError) as got:
+                cat.serve(cq)
+            assert str(got.value) == str(want.value)
+        assert len(cat.results) == 0
+
+
+def test_cut_sweep_checks_still_raise():
+    """The residual sweep keeps min_st_cut's own checks: a flow that is
+    not maximum, or whose value disagrees with the cut, is rejected."""
+    from repro.core import MaxFlowResult
+    from repro.core.mincut import _cut_from_flow
+
+    g = make_grid()
+    zero = MaxFlowResult(value=0, flow={e: 0 for e in range(g.m)},
+                         probes=0, path_darts=[])
+    with pytest.raises(InfeasibleFlowError, match="sink reachable"):
+        _cut_from_flow(g, 0, g.n - 1, zero, True)
+    best = max_st_flow(g, 0, g.n - 1, backend="engine")
+    wrong = MaxFlowResult(value=best.value + 1, flow=best.flow,
+                          probes=best.probes, path_darts=best.path_darts)
+    with pytest.raises(InfeasibleFlowError, match="does not match"):
+        _cut_from_flow(g, 0, g.n - 1, wrong, True)
 
 
 # ----------------------------------------------------------------------
