@@ -11,22 +11,33 @@ from __future__ import annotations
 from repro.errors import InfeasibleFlowError
 
 
+def _exceeds(a, b, tol):
+    """``a > b``: exact when both are ints (a float tolerance would
+    round away above 2^53), with slack ``tol`` otherwise."""
+    if isinstance(a, int) and isinstance(b, int):
+        return a > b
+    return a > b + tol
+
+
 def validate_flow(graph, s, t, flow, value, directed=True, tol=1e-6):
     """Check that ``flow`` (dict eid -> signed flow along the stored edge
     direction) is a feasible s-t flow of the given value.
 
+    Integer flows on integer capacities are checked exactly; ``tol``
+    applies wherever a float is involved.
+
     Raises :class:`InfeasibleFlowError` on violation; returns True.
     """
-    net = [0.0] * graph.n
+    net = [0] * graph.n
     for eid, (u, v) in enumerate(graph.edges):
-        x = flow.get(eid, 0.0)
+        x = flow.get(eid, 0)
         cap = graph.capacities[eid]
         if directed:
-            if x < -tol or x > cap + tol:
+            if _exceeds(0, x, tol) or _exceeds(x, cap, tol):
                 raise InfeasibleFlowError(
                     f"edge {eid}: flow {x} outside [0, {cap}]")
         else:
-            if abs(x) > cap + tol:
+            if _exceeds(abs(x), cap, tol):
                 raise InfeasibleFlowError(
                     f"edge {eid}: |flow| {x} exceeds capacity {cap}")
         net[u] -= x
@@ -34,13 +45,13 @@ def validate_flow(graph, s, t, flow, value, directed=True, tol=1e-6):
     for v in range(graph.n):
         if v in (s, t):
             continue
-        if abs(net[v]) > tol:
+        if _exceeds(abs(net[v]), 0, tol):
             raise InfeasibleFlowError(
                 f"conservation violated at vertex {v}: net {net[v]}")
-    if abs(net[s] + value) > tol:
+    if _exceeds(abs(net[s] + value), 0, tol):
         raise InfeasibleFlowError(
             f"source imbalance {net[s]} != -value {-value}")
-    if abs(net[t] - value) > tol:
+    if _exceeds(abs(net[t] - value), 0, tol):
         raise InfeasibleFlowError(
             f"sink imbalance {net[t]} != value {value}")
     return True

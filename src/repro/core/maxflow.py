@@ -14,7 +14,10 @@ an SSSP from an arbitrary face then yields the flow assignment
     f(d) = dist(face(rev d)) − dist(face(d)) + λ·[d∈P] − λ·[rev(d)∈P].
 
 Each feasibility probe is one labeling construction (Õ(D²) rounds); the
-binary search adds the log λ factor the paper absorbs into Õ(·).
+binary search adds the log λ factor the paper absorbs into Õ(·).  It
+searches ``[0, min(out_cap(s), in_cap(t))]``: the trivial s-cut and
+t-cut bound every flow value, so the search needs at most
+``ceil(log2(bracket + 1)) + 1`` probes (the λ=0 probe included).
 
 The per-dart capacity convention covers both variants:
 directed edges carry (c(e), 0); undirected edges carry (c(e), c(e)).
@@ -90,6 +93,15 @@ class PlanarMaxFlow:
             self.duals = None
             self.workspace = FlowWorkspace(compile_graph(graph))
 
+    def trivial_cut_bound(self, s, t):
+        """``min(out_cap(s), in_cap(t))``: the capacity of the trivial
+        s-cut and of the trivial t-cut, a sound upper bound on every
+        s-t flow value (directed and undirected alike)."""
+        g, cap = self.graph, self.cap
+        out_s = sum(cap[d] for d in g.out_darts(s))
+        in_t = sum(cap[rev(d)] for d in g.out_darts(t))
+        return min(out_s, in_t)
+
     # ------------------------------------------------------------------
     def _lengths(self, path_darts, lam):
         on_path = set(path_darts)
@@ -132,10 +144,10 @@ class PlanarMaxFlow:
         if self.backend == "engine":
             self.workspace.bind_flow_problem(self.cap, path)
 
-        # binary search the max feasible λ; λ=0 is feasible (lengths are
-        # the nonnegative capacities)
+        # binary search the max feasible λ in [0, trivial-cut bound];
+        # λ=0 is feasible (lengths are the nonnegative capacities)
         probes = 0
-        lo, hi = 0, sum(g.capacities) + 1
+        lo, hi = 0, self.trivial_cut_bound(s, t)
         lab_lo = self._feasible(path, 0)
         probes += 1
         if lab_lo is None:

@@ -1,5 +1,6 @@
 """Tests for exact maximum st-flow (Theorem 1.2)."""
 
+import math
 import random
 
 import pytest
@@ -103,6 +104,98 @@ class TestSolverReuse:
         res = max_st_flow(g, 0, 15, directed=True, leaf_size=10)
         assert res.probes <= math.ceil(
             math.log2(sum(g.capacities) + 2)) + 3
+
+
+def _within_log_bracket(probes, bracket):
+    return probes <= math.ceil(math.log2(bracket + 1)) + 1
+
+
+class TestTrivialCutBracket:
+    """The λ search runs over [0, min(out_cap(s), in_cap(t))]; both
+    backends run the same search, so value, flow and probes agree."""
+
+    @pytest.mark.parametrize("backend", ["legacy", "engine"])
+    def test_trivial_cut_is_min_cut(self, backend):
+        g = grid(3, 4)
+        caps = [50] * g.m
+        for d in g.out_darts(0):
+            caps[d >> 1] = 3
+        g = g.copy(capacities=caps)
+        solver = PlanarMaxFlow(g, directed=True, backend=backend)
+        bracket = solver.trivial_cut_bound(0, g.n - 1)
+        res = solver.solve(0, g.n - 1)
+        assert bracket == 6
+        assert res.value == bracket == flow_value_networkx(g, 0, g.n - 1)
+        assert _within_log_bracket(res.probes, bracket)
+
+    @pytest.mark.parametrize("backend", ["legacy", "engine"])
+    def test_source_without_out_capacity(self, backend):
+        # grid edges point toward increasing ids: nothing leaves vertex 8
+        g = randomize_weights(grid(3, 3), seed=4, directed_capacities=True)
+        solver = PlanarMaxFlow(g, directed=True, backend=backend)
+        assert solver.trivial_cut_bound(8, 0) == 0
+        res = solver.solve(8, 0)
+        assert res.value == 0
+        assert res.probes == 1
+
+    def test_undirected(self):
+        g = randomize_weights(cylinder(3, 6), seed=5)
+        s, t = 0, g.n - 1
+        results = {}
+        for backend in ("legacy", "engine"):
+            solver = PlanarMaxFlow(g, directed=False, backend=backend)
+            bracket = solver.trivial_cut_bound(s, t)
+            assert bracket == min(sum(g.capacities[d >> 1]
+                                      for d in g.out_darts(v))
+                                  for v in (s, t))
+            results[backend] = solver.solve(s, t)
+            assert _within_log_bracket(results[backend].probes, bracket)
+        assert results["legacy"] == results["engine"]
+        assert results["engine"].value == flow_value_networkx(
+            g, s, t, directed=False)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6),
+           st.booleans())
+    def test_probes_within_bracket_log(self, seed, directed):
+        rng = random.Random(seed)
+        g = randomize_weights(
+            random_planar(12 + seed % 10, seed=seed % 25, keep=0.85),
+            seed=seed, directed_capacities=directed)
+        s, t = rng.sample(range(g.n), 2)
+        ref = flow_value_networkx(g, s, t, directed=directed)
+        results = {}
+        for backend in ("legacy", "engine"):
+            solver = PlanarMaxFlow(g, directed=directed, leaf_size=10,
+                                   backend=backend)
+            bracket = solver.trivial_cut_bound(s, t)
+            res = solver.solve(s, t)
+            assert res.value == ref <= bracket
+            assert _within_log_bracket(res.probes, bracket)
+            results[backend] = res
+        assert results["engine"] == results["legacy"]
+
+
+class TestValidateFlow:
+    def test_saturated_integer_flow_above_2_53(self):
+        c = 2 ** 55 + 1
+        g = grid(1, 2)
+        g = g.copy(capacities=[c] * g.m)
+        assert validate_flow(g, 0, 1, {0: c}, c)
+
+    def test_integer_flow_one_over_capacity_rejected(self):
+        c = 2 ** 55 + 1
+        g = grid(1, 2)
+        g = g.copy(capacities=[c] * g.m)
+        with pytest.raises(InfeasibleFlowError, match="outside"):
+            validate_flow(g, 0, 1, {0: c + 1}, c + 1)
+
+    def test_float_flow_keeps_tolerance(self):
+        g = grid(1, 2)
+        g = g.copy(capacities=[5] * g.m)
+        assert validate_flow(g, 0, 1, {0: 5 + 1e-9}, 5)
+        with pytest.raises(InfeasibleFlowError):
+            validate_flow(g, 0, 1, {0: 5.1}, 5.1)
 
 
 class TestRounds:
