@@ -8,10 +8,14 @@ Two acceptance gates:
    replica is exactly what ``execute_query`` did before the layer
    existed: entry lookup, planner resolution, and the untouched
    ``_serve`` core (cache probe + dispatch) — so the comparison
-   isolates precisely the added branches.  Both loops run the same
+   isolates precisely the added branches.  Both sides run the same
    warm :class:`~repro.service.queries.DistanceQuery` mix over a grid
-   (default 64×64), interleaved across repeated trials with the median
-   trial per side compared, which suppresses drift on a shared CI box.
+   (default 64×64) in *paired* batches: each batch times one pass of
+   each side back to back, alternating which side goes first, and
+   yields one paired ratio.  The gate reads the median paired ratio
+   and the report gives its interquartile range, so host drift, which
+   moves both halves of a pair together, cancels instead of deciding
+   the verdict.
 
 2. **Stitched cross-process trace, durations within 10% of wall** —
    with observability on, each query served through a forked 1-worker
@@ -25,7 +29,7 @@ Under pytest (benchmark suite) the same paths run at smoke scale with
 the structural assertions inline; timing gates are script-mode only.
 
     PYTHONPATH=src python benchmarks/bench_obs.py \\
-        [--rows 64] [--cols 64] [--queries 200] [--trials 9] \\
+        [--rows 64] [--cols 64] [--queries 200] [--trials 400] \\
         [--json BENCH_obs.json]
 """
 
@@ -64,28 +68,43 @@ def _uninstrumented_replica(catalog, query):
     return _serve(catalog, entry, query, backend)
 
 
+def _timed_pass(serve, catalog, queries):
+    t0 = time.perf_counter()
+    for q in queries:
+        serve(catalog, q)
+    return time.perf_counter() - t0
+
+
 def measure_disabled_overhead(g, queries, trials):
-    """(instrumented_s, replica_s, overhead_frac) per warm query, using
-    the median of interleaved trials for each side."""
+    """Disabled-path overhead from ``trials`` paired batches.
+
+    Each batch times one pass of ``execute_query`` and one of the
+    replica back to back, the first side alternating between batches.
+    Returns ``(instrumented_s, replica_s, overhead_frac, iqr)``: the
+    median per-query time of each side, the median paired ratio minus
+    one, and that ratio's (q1, q3) minus one.
+    """
     assert not obs.enabled()
     catalog = GraphCatalog()
     catalog.register("g", g)
     for q in queries:
         r = execute_query(catalog, q)
         assert _uninstrumented_replica(catalog, q).result == r.result
-    inst, repl = [], []
-    for _ in range(trials):
-        t0 = time.perf_counter()
-        for q in queries:
-            execute_query(catalog, q)
-        inst.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        for q in queries:
-            _uninstrumented_replica(catalog, q)
-        repl.append(time.perf_counter() - t0)
+    sides = {execute_query: [], _uninstrumented_replica: []}
+    for i in range(trials):
+        order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+        for serve in order:
+            sides[serve].append(_timed_pass(serve, catalog, queries))
+    inst, repl = sides[execute_query], sides[_uninstrumented_replica]
+    ratios = [a / b for a, b in zip(inst, repl)]
+    if len(ratios) > 1:
+        q1, _, q3 = statistics.quantiles(ratios, n=4)
+    else:
+        q1 = q3 = ratios[0]
     inst_s = statistics.median(inst) / len(queries)
     repl_s = statistics.median(repl) / len(queries)
-    return inst_s, repl_s, inst_s / repl_s - 1.0
+    return (inst_s, repl_s, statistics.median(ratios) - 1.0,
+            (q1 - 1.0, q3 - 1.0))
 
 
 def measure_stitched_traces(g, queries, workers=1):
@@ -190,8 +209,9 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--queries", type=int, default=200,
                     help="warm distance queries per overhead trial")
-    ap.add_argument("--trials", type=int, default=9,
-                    help="interleaved timing trials (median compared)")
+    ap.add_argument("--trials", type=int, default=400,
+                    help="paired, order-alternating timing batches "
+                         "(the median paired ratio is gated)")
     ap.add_argument("--traced-queries", type=int, default=10,
                     help="queries served for the stitched-trace gate")
     ap.add_argument("--max-overhead", type=float, default=0.02,
@@ -206,14 +226,16 @@ def main(argv=None):
     # -- gate 1: disabled overhead on the warm query path
     obs.reset()
     queries = _warm_queries("g", g, args.queries, seed=args.seed)
-    inst_s, repl_s, overhead = measure_disabled_overhead(
-        g, queries, args.trials)
+    inst_s, repl_s, overhead, (iqr_lo, iqr_hi) = \
+        measure_disabled_overhead(g, queries, args.trials)
     print(f"warm query, obs disabled : {inst_s * 1e6:8.2f} us/query")
     print(f"warm query, uninstrum.   : {repl_s * 1e6:8.2f} us/query")
     ok1 = overhead <= args.max_overhead
     print(f"acceptance (disabled overhead <= "
           f"{args.max_overhead:.0%}): "
-          f"{'PASS' if ok1 else 'FAIL'} ({overhead:+.2%})")
+          f"{'PASS' if ok1 else 'FAIL'} ({overhead:+.2%} median of "
+          f"{args.trials} paired batches, IQR {iqr_lo:+.2%} to "
+          f"{iqr_hi:+.2%})")
 
     # -- gate 2: stitched cross-process trace, durations ~ wall
     traced = _warm_queries("g", g, args.traced_queries,
@@ -238,6 +260,7 @@ def main(argv=None):
         "warm_disabled_s": inst_s,
         "warm_uninstrumented_s": repl_s,
         "disabled_overhead_frac": overhead,
+        "disabled_overhead_iqr": [iqr_lo, iqr_hi],
         "traced_queries": len(traced),
         "traced_wall_s": wall_s,
         "traced_span_s": span_s,

@@ -16,9 +16,11 @@ This module is the one shared primitive underneath all of it:
   (structural edits build a new ``PlanarGraph``, so a per-instance
   token is exactly as stable as the rotation system itself);
 * :func:`graph_fingerprint` — ``(topo, weights, capacities)`` where the
-  weight/capacity components hash the *current* lists, so artifacts
-  keyed by a fingerprint go stale-proof against in-place mutation: a
-  mutated graph simply stops matching its old keys.
+  weight/capacity components are the ``version`` counters of the
+  graph's :class:`~repro.planar.graph.VersionedList` s.  Every in-place
+  mutation and every attribute assignment bumps a version, so
+  artifacts keyed by a fingerprint go stale-proof against mutation by
+  construction: a mutated graph simply stops matching its old keys.
 
 The module sits at the bottom of the layer stack (next to
 :mod:`repro._compat`) and imports nothing, so both
@@ -35,7 +37,7 @@ from collections import OrderedDict, namedtuple
 
 _MISSING = object()
 
-#: weight/capacity components are hashes of the current value lists;
+#: weight/capacity components are the versions of the value lists;
 #: ``topo`` is the per-instance topology token.
 Fingerprint = namedtuple("Fingerprint", ["topo", "weights", "capacities"])
 
@@ -61,14 +63,15 @@ def topo_token(graph):
 def graph_fingerprint(graph):
     """Current :class:`Fingerprint` of ``graph``.
 
-    O(m) per call (the weight and capacity lists are re-hashed), which
-    is what makes fingerprint-keyed caching sound under in-place weight
-    mutation — and is negligible against the cost of any artifact worth
-    caching.
+    O(1) and exact: the weight and capacity components are the lists'
+    mutation versions, so equal components mean the very same values
+    (of the same Python types) — ``1`` replaced by ``1.0`` misses.
+    Versions are monotone per graph and survive a pickle, so a key
+    built from them never comes back to name different weights.
     """
     return Fingerprint(topo=topo_token(graph),
-                       weights=hash(tuple(graph.weights)),
-                       capacities=hash(tuple(graph.capacities)))
+                       weights=graph.weights.version,
+                       capacities=graph.capacities.version)
 
 
 class ArtifactCache:

@@ -107,21 +107,16 @@ def centralized_weighted_girth(graph):
 def centralized_directed_global_mincut(graph):
     """Exact directed global min cut by n−1 max-flow pairs against a
     fixed root (both directions)."""
+    # the flows run on a copy with capacities = weights, never on the
+    # caller's graph: rebinding its capacities would bump their version
+    # (and so its cache keys) and race any reader of a served graph
+    flow_graph = graph.copy(capacities=graph.weights)
     best = math.inf
     for t in range(1, graph.n):
-        v1, _ = _directed_flow(graph, 0, t)
-        v2, _ = _directed_flow(graph, t, 0)
+        v1, _ = centralized_max_flow(flow_graph, 0, t, directed=True)
+        v2, _ = centralized_max_flow(flow_graph, t, 0, directed=True)
         best = min(best, v1, v2)
     return best
-
-
-def _directed_flow(graph, s, t):
-    saved = graph.capacities
-    graph.capacities = graph.weights
-    try:
-        return centralized_max_flow(graph, s, t, directed=True)
-    finally:
-        graph.capacities = saved
 
 
 def centralized_sssp(graph, source):

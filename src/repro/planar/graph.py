@@ -43,6 +43,84 @@ def is_plus(dart):
     return (dart & 1) == 0
 
 
+class VersionedList(list):
+    """A ``list`` that counts its in-place mutations.
+
+    Every mutator bumps :attr:`version` (reads are plain ``list``
+    reads), so ``version`` identifies the current contents exactly:
+    two observations with the same version saw the same values, of the
+    same Python types.  That is what lets
+    :func:`repro._artifacts.graph_fingerprint` key caches by version in
+    O(1) instead of re-hashing the values.  The version survives a
+    pickle, so it stays monotone over a list's whole lineage.
+    """
+
+    __slots__ = ("version",)
+
+    def __init__(self, iterable=(), version=0):
+        super().__init__(iterable)
+        self.version = version
+
+    def __reduce__(self):
+        return (type(self), (list(self), self.version))
+
+    def __setitem__(self, index, value):
+        list.__setitem__(self, index, value)
+        self.version += 1
+
+    def __delitem__(self, index):
+        list.__delitem__(self, index)
+        self.version += 1
+
+    def __iadd__(self, other):
+        list.__iadd__(self, other)
+        self.version += 1
+        return self
+
+    def __imul__(self, count):
+        list.__imul__(self, count)
+        self.version += 1
+        return self
+
+    def append(self, value):
+        list.append(self, value)
+        self.version += 1
+
+    def extend(self, values):
+        list.extend(self, values)
+        self.version += 1
+
+    def insert(self, index, value):
+        list.insert(self, index, value)
+        self.version += 1
+
+    def pop(self, index=-1):
+        value = list.pop(self, index)
+        self.version += 1
+        return value
+
+    def remove(self, value):
+        list.remove(self, value)
+        self.version += 1
+
+    def clear(self):
+        list.clear(self)
+        self.version += 1
+
+    def sort(self, *, key=None, reverse=False):
+        list.sort(self, key=key, reverse=reverse)
+        self.version += 1
+
+    def reverse(self):
+        list.reverse(self)
+        self.version += 1
+
+
+#: the per-edge value lists of a :class:`PlanarGraph` that are
+#: versioned (see :meth:`PlanarGraph.__setattr__`)
+_VERSIONED = frozenset(("weights", "capacities"))
+
+
 class PlanarGraph:
     """An embedded planar (multi)graph.
 
@@ -62,6 +140,11 @@ class PlanarGraph:
         Optional per-edge weights (lengths); defaults to 1 for every edge.
     capacities:
         Optional per-edge capacities; defaults to ``weights``.
+
+    ``weights`` and ``capacities`` are :class:`VersionedList` s: they may
+    be mutated in place (each mutation bumps the list's ``version``),
+    and assigning either attribute stores a *copy* whose version
+    continues the old list's, so a version never repeats on a graph.
     """
 
     def __init__(self, n, edges, rotations, weights=None, capacities=None,
@@ -70,11 +153,9 @@ class PlanarGraph:
         self.edges = [tuple(e) for e in edges]
         self.rotations = [list(r) for r in rotations]
         m = len(self.edges)
-        self.weights = list(weights) if weights is not None else [1] * m
-        if capacities is not None:
-            self.capacities = list(capacities)
-        else:
-            self.capacities = list(self.weights)
+        self.weights = weights if weights is not None else [1] * m
+        self.capacities = capacities if capacities is not None \
+            else self.weights
 
         # Position of each dart inside the rotation of its tail.
         self._dart_pos = [-1] * (2 * m)
@@ -87,6 +168,16 @@ class PlanarGraph:
 
         if validate:
             self._validate()
+
+    def __setattr__(self, name, value):
+        # reads stay plain attribute loads; only assignment pays.  Not
+        # ``self.__dict__``: materializing the instance dict slows
+        # every later attribute load on the graph by a third or more
+        if name in _VERSIONED:
+            old = getattr(self, name, None)
+            value = VersionedList(
+                value, 0 if old is None else old.version + 1)
+        object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
     # basic dart arithmetic

@@ -15,8 +15,8 @@ Ownership and invalidation:
   ArtifactCache` (``catalog.artifacts``) for named-graph artifacts and
   a second one (``catalog.results``) for memoized query results, both
   with LRU bounds;
-* every *weight- or capacity-dependent* artifact key embeds the hash
-  components of the graph's current :func:`~repro._artifacts.
+* every *weight- or capacity-dependent* artifact key embeds the
+  version components of the graph's current :func:`~repro._artifacts.
   graph_fingerprint`, so mutating weights in place can never serve a
   stale artifact — the old key simply stops matching.  Explicit
   :meth:`GraphCatalog.invalidate` additionally frees the dead entries
@@ -115,12 +115,10 @@ class CatalogEntry:
         self.catalog = catalog
         self.name = name
         self.graph = graph
-        #: fingerprint at registration/invalidation time (observability
-        #: only — cache keys always use the *current* fingerprint)
-        self.registered_fingerprint = graph_fingerprint(graph)
 
     def fingerprint(self) -> Fingerprint:
-        """The graph's current fingerprint (re-hashes weights, O(m))."""
+        """The graph's current fingerprint (weight/capacity versions,
+        O(1))."""
         return graph_fingerprint(self.graph)
 
     # ------------------------------------------------------------------
@@ -341,17 +339,13 @@ class GraphCatalog:
         ``name``.
 
         Fingerprint-keyed lookups are already stale-proof (mutated
-        weights miss); this frees the dead entries immediately and
-        refreshes the entry's recorded fingerprint.  Returns the number
-        of cache entries removed.
+        weights miss); this frees the dead entries immediately.
+        Returns the number of cache entries removed.
         """
-        entry = self._entries.get(name)
         removed = self.artifacts.invalidate(
             lambda k: len(k) > 1 and k[1] == name)
         removed += self.results.invalidate(
             lambda k: len(k) > 1 and k[1] == name)
-        if entry is not None:
-            entry.registered_fingerprint = graph_fingerprint(entry.graph)
         return removed
 
     def set_weights(self, name, weights=None, capacities=None):
@@ -392,7 +386,7 @@ class GraphCatalog:
           when the dirty set exceeds ``max_dirty_frac`` of the bags,
           or when a labeling carries no repair state);
         * **migrates** memoized flow/cut results to the new weight
-          hash (they read capacities, not weights — still warm) and
+          version (they read capacities, not weights — still warm) and
           drops the weight-dependent distance/girth results;
         * leaves capacity-keyed flow solvers and the topology-only
           BDD / dual-bag / compiled-bag artifacts untouched.
@@ -423,22 +417,26 @@ class GraphCatalog:
         labelings = [(key, lab) for key, lab in self.artifacts.items()
                      if key[0] == "labeling" and key[1] == name
                      and key[2] == old_fp.weights]
+        # a change is a new value *or* a new type (results keep their
+        # inputs' types, so 1 -> 1.0 is a new weight); only changed
+        # edges are written, so a no-op write keeps the weight version
+        # and with it every result
         changed = {}
         for eid, w in updates.items():
-            if g.weights[eid] != w:
+            old = g.weights[eid]
+            if old != w or type(old) is not type(w):
                 changed[2 * eid] = w
-            g.weights[eid] = w
-        new_fp = entry.fingerprint()
+                g.weights[eid] = w
         report = {"graph": name, "edges": len(updates),
                   "changed_edges": len(changed),
                   "results_migrated": 0, "results_dropped": 0,
                   "labelings": []}
-        if new_fp.weights == old_fp.weights:
-            return report  # value-identical weights: nothing is stale
+        if not changed:
+            return report  # value- and type-identical: nothing is stale
+        new_fp = entry.fingerprint()
         migrated, dropped = self._migrate_results(name, old_fp, new_fp)
         report["results_migrated"] = migrated
         report["results_dropped"] = dropped
-        entry.registered_fingerprint = new_fp
         for key, lab in labelings:
             self.artifacts.discard(key)
             row = {"leaf_size": key[3], "backend": key[4]}
@@ -470,7 +468,7 @@ class GraphCatalog:
 
     def _migrate_results(self, name, old_fp, new_fp):
         """Move weight-independent memoized results of ``name`` to the
-        new weight hash; drop the weight-dependent ones."""
+        new weight version; drop the weight-dependent ones."""
         from repro.service.queries import CutQuery, FlowQuery
 
         migrated = dropped = 0

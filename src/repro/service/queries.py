@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.errors import ServiceError
+from repro.obs import trace as _obs_trace
 
 #: backends a query may request; ``auto`` defers to the planner
 QUERY_BACKENDS = ("auto", "legacy", "engine")
@@ -183,7 +184,7 @@ def execute_query(catalog, query, planner=None):
     GraphCatalog`; returns a :class:`QueryResult`.
 
     The result cache key embeds the resolved backend and the graph's
-    current weight/capacity hashes, so repeats are warm hits and
+    current weight/capacity versions, so repeats are warm hits and
     in-place weight mutation is never served stale.
 
     With :mod:`repro.obs` enabled, each call runs inside a
@@ -195,7 +196,9 @@ def execute_query(catalog, query, planner=None):
     ``health.error_seconds.<kind>`` windows that
     :mod:`repro.obs.health` evaluates SLOs against.
     """
-    if not obs.enabled():
+    # the flag itself rather than obs.enabled(): a warm hit is a few
+    # microseconds, and the call alone would be ~1% of it
+    if not _obs_trace._enabled:
         entry = catalog.get(query.graph)
         if planner is None:
             planner = catalog.planner

@@ -1,9 +1,13 @@
 """Tests for the embedded planar graph substrate."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import EmbeddingError
 from repro.planar import PlanarGraph, SubgraphView, rev
+from repro.planar.graph import VersionedList
 from repro.planar.generators import (
     cylinder,
     grid,
@@ -234,6 +238,110 @@ class TestSubgraphView:
         view = SubgraphView(g, [0, 1, 3, 4])
         comps = view.connected_edge_components()
         assert sorted(map(tuple, comps)) == [(0, 1), (3, 4)]
+
+
+# every in-place mutator of a VersionedList, as (name, call)
+MUTATORS = {
+    "setitem": lambda v: v.__setitem__(0, 9),
+    "setitem_slice": lambda v: v.__setitem__(slice(0, 2), [7, 8]),
+    "delitem": lambda v: v.__delitem__(0),
+    "delitem_slice": lambda v: v.__delitem__(slice(0, 2)),
+    "iadd": lambda v: v.__iadd__([4]),
+    "imul": lambda v: v.__imul__(2),
+    "append": lambda v: v.append(4),
+    "extend": lambda v: v.extend([4, 5]),
+    "insert": lambda v: v.insert(0, 4),
+    "pop": lambda v: v.pop(),
+    "remove": lambda v: v.remove(2),
+    "clear": lambda v: v.clear(),
+    "sort": lambda v: v.sort(reverse=True),
+    "reverse": lambda v: v.reverse(),
+}
+
+
+class TestVersionedWeights:
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_every_mutator_bumps_version(self, mutator):
+        v = VersionedList([3, 1, 2], version=5)
+        expected = [3, 1, 2]
+        MUTATORS[mutator](expected)
+        MUTATORS[mutator](v)
+        assert v == expected
+        assert v.version == 6
+
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_graph_weights_mutators_bump_version(self, mutator):
+        g = PlanarGraph(3, [(0, 1), (1, 2), (2, 0)],
+                        [[5, 0], [2, 1], [4, 3]], weights=[3, 1, 2])
+        assert g.weights.version == 0
+        MUTATORS[mutator](g.weights)
+        assert g.weights.version == 1
+        assert g.capacities.version == 0
+
+    def test_augmented_item_assignment_bumps(self):
+        g = grid(2, 3)
+        g.weights[0] += 1
+        g.capacities[1] *= 2
+        assert g.weights.version == 1 and g.capacities.version == 1
+
+    def test_failed_mutation_keeps_version(self):
+        v = VersionedList([1, 2])
+        with pytest.raises(ValueError):
+            v.remove(5)
+        with pytest.raises(IndexError):
+            VersionedList().pop()
+        assert v.version == 0
+
+    def test_reads_are_plain_list_reads(self):
+        g = grid(2, 3)
+        assert g.weights == [1] * g.m
+        assert type(g.weights[1:3]) is list
+        assert g.weights.version == 0
+
+    def test_assignment_copies_and_continues_version(self):
+        g = grid(2, 3)
+        g.weights[0] = 5
+        alias = g.weights
+        new = [2] * g.m
+        g.weights = new
+        assert isinstance(g.weights, VersionedList)
+        assert g.weights.version == alias.version + 1
+        # the assigned value is copied: neither the old alias nor the
+        # caller's list shares storage with the graph any more
+        assert g.weights is not new and g.weights is not alias
+        alias[1] = 99
+        new[2] = 99
+        assert g.weights == [2] * g.m
+
+    def test_capacities_default_to_a_copy_of_weights(self):
+        g = PlanarGraph(3, [(0, 1), (1, 2), (2, 0)],
+                        [[5, 0], [2, 1], [4, 3]], weights=[4, 5, 6])
+        assert g.capacities == [4, 5, 6]
+        g.weights[0] = 1
+        assert g.capacities == [4, 5, 6]
+        assert g.capacities.version == 0
+
+    @pytest.mark.parametrize("clone", [
+        lambda x: pickle.loads(pickle.dumps(x)),
+        copy.deepcopy,
+        copy.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    def test_version_survives_pickle_and_copy(self, clone):
+        v = VersionedList([1, 2.5], version=41)
+        w = clone(v)
+        assert type(w) is VersionedList
+        assert w == v and w.version == 41
+        assert type(w[1]) is float
+
+    def test_graph_pickle_keeps_versions(self):
+        g = grid(2, 3)
+        g.weights[0] = 3
+        g.capacities = list(g.capacities)
+        h = pickle.loads(pickle.dumps(g))
+        assert (h.weights.version, h.capacities.version) == (1, 1)
+        assert h.weights == g.weights
+        h.weights[1] = 2
+        assert h.weights.version == 2
 
 
 def _edge_not_adjacent_to_face(g, eid, fid):

@@ -3,6 +3,8 @@ query parity against the per-call entry points (both backends), batch
 execution, LRU bounds, staleness under in-place mutation, and the
 process-shard fan-out."""
 
+import pickle
+
 import pytest
 
 from repro._artifacts import (
@@ -12,6 +14,7 @@ from repro._artifacts import (
     topo_token,
 )
 from repro.aggregation.dual_sim import DualMAHost
+from repro.baselines.centralized import centralized_directed_global_mincut
 from repro.bdd import build_bdd
 from repro.core import max_st_flow, min_st_cut, weighted_girth
 from repro.engine import compile_graph
@@ -116,6 +119,33 @@ class TestFingerprint:
         assert fp2.topo == fp1.topo
         assert fp2.weights != fp1.weights
         assert fp2.capacities == fp1.capacities
+
+    def test_exact_under_equal_value_type_change(self):
+        # hash(1) == hash(1.0): a value hash would keep this key
+        g = make_grid()
+        fp1 = graph_fingerprint(g)
+        g.capacities[:] = [float(c) for c in g.capacities]
+        fp2 = graph_fingerprint(g)
+        assert fp2.capacities != fp1.capacities
+        assert fp2.weights == fp1.weights
+
+    def test_assignment_never_repeats_a_version(self):
+        g = make_grid()
+        seen = {graph_fingerprint(g)}
+        original = list(g.weights)
+        g.weights = [w + 1 for w in original]
+        seen.add(graph_fingerprint(g))
+        g.weights = original  # same values as the first key...
+        seen.add(graph_fingerprint(g))
+        assert len(seen) == 3  # ...but a new version
+
+    def test_centralized_oracle_leaves_fingerprint_alone(self):
+        g = make_grid(3, 4)
+        fp = graph_fingerprint(g)
+        capacities = g.capacities
+        centralized_directed_global_mincut(g)
+        assert graph_fingerprint(g) == fp
+        assert g.capacities is capacities
 
     def test_copy_gets_fresh_topology_token(self):
         g = make_grid()
@@ -357,6 +387,84 @@ class TestStaleness:
         assert got.warm is False
         lab = DualDistanceLabeling(build_bdd(g), default_dual_lengths(g))
         assert got.result == lab.distance(1, 3)
+
+
+    def test_int_to_equal_float_capacities_miss(self):
+        g = randomize_weights(grid(5, 5), seed=1,
+                              directed_capacities=True)
+        cat = GraphCatalog()
+        cat.register("g", g)
+        q = FlowQuery("g", 0, 24)
+        first = cat.serve(q)
+        assert first.result.value == 22
+        assert type(first.result.value) is int
+        g.capacities[:] = [float(c) for c in g.capacities]
+        got = cat.serve(q)
+        assert got.warm is False
+        assert got.result.value == 22.0
+        assert type(got.result.value) is float
+        fresh = GraphCatalog()
+        fresh.register("g", g)
+        assert got.result == fresh.serve(q).result
+
+    def test_slice_assignment_misses(self):
+        g = make_grid()
+        cat = GraphCatalog()
+        cat.register("g", g)
+        q = DistanceQuery("g", 1, 3)
+        cat.serve(q)
+        assert cat.serve(q).warm is True
+        g.weights[0:2] = [w + 7 for w in g.weights[0:2]]
+        got = cat.serve(q)
+        assert got.warm is False
+        lab = DualDistanceLabeling(build_bdd(g), default_dual_lengths(g))
+        assert got.result == lab.distance(1, 3)
+
+    def test_pickled_snapshot_restores_warm_then_mutation_misses(self):
+        g = make_grid()
+        cat = GraphCatalog()
+        cat.register("g", g)
+        g.weights[2] += 1  # a non-zero version must survive too
+        queries = [DistanceQuery("g", 0, 5), FlowQuery("g", 0, g.n - 1)]
+        expected = [cat.serve(q).result for q in queries]
+        restored = pickle.loads(pickle.dumps(cat.snapshot())).restore()
+        for q, want in zip(queries, expected):
+            got = restored.serve(q)
+            assert got.warm is True and got.result == want
+        h = restored.get("g").graph
+        h.weights[0] += 5
+        h.capacities[0] += 5
+        for q in queries:
+            assert restored.serve(q).warm is False
+        # the source catalog's graph is untouched and still warm
+        assert all(cat.serve(q).warm for q in queries)
+
+    def test_identical_mutation_keeps_results_warm(self):
+        g = make_grid()
+        cat = GraphCatalog()
+        cat.register("g", g)
+        q = DistanceQuery("g", 1, 3)
+        cat.serve(q)
+        fp = graph_fingerprint(g)
+        report = cat.mutate_weights("g", {0: g.weights[0],
+                                          3: g.weights[3]})
+        assert report["changed_edges"] == 0
+        assert report["results_dropped"] == 0
+        assert graph_fingerprint(g) == fp
+        assert cat.serve(q).warm is True
+
+    def test_int_to_float_mutation_misses_and_audits(self):
+        g = make_grid()
+        cat = GraphCatalog()
+        cat.register("g", g)
+        q = DistanceQuery("g", 1, 3)
+        cat.serve(q)
+        assert type(g.weights[0]) is int
+        report = cat.mutate_weights("g", {0: float(g.weights[0])})
+        assert report["changed_edges"] == 1
+        assert type(g.weights[0]) is float
+        assert cat.serve(q).warm is False
+        assert cat.audit_labeling("g")["error"] is None
 
 
 # ----------------------------------------------------------------------
