@@ -19,10 +19,10 @@ Two modes:
   1. **warm pool** — artifacts built once in the parent, workers forked
      afterwards (copy-on-write inheritance), every query load-balanced
      over the pool.  This is what ``repro.server`` deploys.
-  2. **fork-cold** — every query handled the way the pre-pool
-     ``run_sharded`` handled a fresh graph: fork a worker, build a
-     private catalog from scratch (CSR compile + BDD + Theorem 2.1
-     labeling for distance queries), answer, exit.  Measured on a small
+  2. **fork-cold** — every query handled by a fresh one-worker
+     process: fork it, build a private catalog from scratch (CSR
+     compile + BDD + Theorem 2.1 labeling for distance queries),
+     answer, exit.  Measured on a small
      sample per query kind and extrapolated to the full mix — running
      the whole batch cold would take hours on a 64×64 grid, which is
      precisely the point.
@@ -35,7 +35,7 @@ Two modes:
 import argparse
 import random
 import time
-import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 from _json_out import add_json_arg, emit_json
 
@@ -46,7 +46,6 @@ from repro.service import (
     FlowQuery,
     GraphCatalog,
     execute_query,
-    run_sharded,
 )
 
 
@@ -77,6 +76,14 @@ def test_pool_warm_mixed_batch(benchmark, instances):
 # ----------------------------------------------------------------------
 # script mode
 # ----------------------------------------------------------------------
+def _cold_answer(name, graph, query):
+    """Fork-cold worker: a private catalog, built from scratch, answers
+    one query."""
+    catalog = GraphCatalog()
+    catalog.register(name, graph)
+    return execute_query(catalog, query)
+
+
 def _fmt(x):
     return f"{x:,.1f}".replace(",", " ")
 
@@ -165,13 +172,10 @@ def main(argv=None):
         for _ in range(samples):
             fresh = g.copy()  # fresh topology token: nothing cached
             t0 = time.perf_counter()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                rep = run_sharded({name: fresh}, [query],
-                                  max_workers=1, fork_per_graph=True)
+            with ProcessPoolExecutor(max_workers=1) as ex:
+                r = ex.submit(_cold_answer, name, fresh, query).result()
             total += time.perf_counter() - t0
-            assert rep.values()[0] == \
-                execute_query(catalog, query).result
+            assert r.result == execute_query(catalog, query).result
         return total / samples
 
     cold_flow_s = cold_seconds(queries[0], args.cold_flow_samples)

@@ -29,9 +29,8 @@ def validate_flow(graph, s, t, flow, value, directed=True, tol=1e-6):
     Raises :class:`InfeasibleFlowError` on violation; returns True.
     """
     net = [0] * graph.n
-    for eid, (u, v) in enumerate(graph.edges):
+    for eid, ((u, v), cap) in enumerate(zip(graph.edges, graph.capacities)):
         x = flow.get(eid, 0)
-        cap = graph.capacities[eid]
         if directed:
             if _exceeds(0, x, tol) or _exceeds(x, cap, tol):
                 raise InfeasibleFlowError(

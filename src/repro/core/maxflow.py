@@ -61,8 +61,7 @@ class MaxFlowResult:
 def dart_capacities(graph, directed=True):
     """cap per dart: directed edges (c, 0); undirected (c, c)."""
     cap = {}
-    for eid in range(graph.m):
-        c = graph.capacities[eid]
+    for eid, c in enumerate(graph.capacities):
         cap[2 * eid] = c
         cap[2 * eid + 1] = 0 if directed else c
     return cap

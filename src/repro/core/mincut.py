@@ -89,8 +89,7 @@ def _cut_from_flow(graph, s, t, res, directed):
     # residual capacity per dart (dart capacities as in
     # maxflow.dart_capacities: directed edges (c, 0), undirected (c, c))
     resid = {}
-    for eid in range(graph.m):
-        c = graph.capacities[eid]
+    for eid, c in enumerate(graph.capacities):
         x = res.flow[eid]
         resid[2 * eid] = c - x
         resid[2 * eid + 1] = (0 if directed else c) + x
@@ -111,15 +110,15 @@ def _cut_from_flow(graph, s, t, res, directed):
 
     cut = []
     val = 0
-    for eid, (u, v) in enumerate(graph.edges):
+    for eid, ((u, v), c) in enumerate(zip(graph.edges, graph.capacities)):
         if directed:
             if u in side and v not in side:
                 cut.append(eid)
-                val += graph.capacities[eid]
+                val += c
         else:
             if (u in side) != (v in side):
                 cut.append(eid)
-                val += graph.capacities[eid]
+                val += c
     if val != res.value:
         raise InfeasibleFlowError(
             f"min-cut {val} does not match max-flow {res.value}")

@@ -120,6 +120,20 @@ class VersionedList(list):
 #: versioned (see :meth:`PlanarGraph.__setattr__`)
 _VERSIONED = frozenset(("weights", "capacities"))
 
+#: the attributes a pickled :class:`PlanarGraph` carries (see
+#: :meth:`PlanarGraph.__reduce__`), in ``__init__`` order
+_PICKLED = ("n", "edges", "rotations", "weights", "capacities",
+            "_dart_pos", "_faces", "_face_of")
+
+
+def _restore_graph(cls, values):
+    """Unpickle a :class:`PlanarGraph`: set the attributes as they were
+    (no ``__setattr__``, so the value-list versions are kept as is)."""
+    graph = cls.__new__(cls)
+    for name, value in zip(_PICKLED, values):
+        object.__setattr__(graph, name, value)
+    return graph
+
 
 class PlanarGraph:
     """An embedded planar (multi)graph.
@@ -364,7 +378,6 @@ class PlanarGraph:
                         members.append(w)
                         q.append(w)
             comps.append(members)
-        self._component_of = comp
         return comps
 
     def is_connected(self):
@@ -408,14 +421,15 @@ class PlanarGraph:
             capacities=self.capacities if capacities is None else capacities,
             validate=False)
 
-    def __getstate__(self):
+    def __reduce__(self):
         # the artifact-cache topology token (repro._artifacts) is
         # process-local: carrying it across a pickle would let a
         # receiving process collide two different graphs in its own
-        # caches, so a pickled copy must earn a fresh token there
-        state = self.__dict__.copy()
-        state.pop("_artifact_topo_token", None)
-        return state
+        # caches, so a pickled copy must earn a fresh token there.
+        # Attributes are read by name, never through ``self.__dict__``
+        # (see __setattr__), on this graph and on the restored copy
+        return (_restore_graph,
+                (type(self), [getattr(self, name) for name in _PICKLED]))
 
 
 class SubgraphView:

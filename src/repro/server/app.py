@@ -148,112 +148,127 @@ class QueryServer:
 
     def _dispatch(self, frame):
         verb = frame.get("verb")
+        handler = self._HANDLERS.get(verb) if isinstance(verb, str) \
+            else None
+        if handler is None:
+            raise ProtocolError(f"unknown verb {verb!r}")
         out = {"v": wire.PROTOCOL_VERSION, "id": frame.get("id"),
                "ok": True}
-        if verb == "query":
-            q = wire.query_from_wire(frame.get("query"))
-            r = self.pool.submit(q).result()
-            out.update(wire.query_result_to_wire(r))
-        elif verb == "batch":
-            queries = frame.get("queries")
-            if not isinstance(queries, list):
-                raise ProtocolError("batch frame needs a 'queries' list")
-            futures = [self.pool.submit(wire.query_from_wire(p))
-                       for p in queries]
-            # per-query outcomes: one failed query must not turn the
-            # whole batch into an error frame (the other answers are
-            # already computed), so each entry carries its own ok flag
-            # and, on failure, its own typed error payload
-            entries = []
-            for f in futures:
-                try:
-                    r = f.result()
-                except Exception as exc:
-                    entries.append({"ok": False,
-                                    "error": wire.exception_to_wire(exc)})
-                else:
-                    entry = {"ok": True}
-                    entry.update(wire.query_result_to_wire(r))
-                    entries.append(entry)
-            out["results"] = entries
-        elif verb == "register":
-            name = frame.get("name")
-            if not isinstance(name, str) or not name:
-                raise ProtocolError("register frame needs a 'name'")
-            graph = wire.graph_from_wire(frame.get("graph"))
-            self.pool.register(name, graph,
-                               overwrite=bool(frame.get("overwrite")))
-            out["registered"] = name
-        elif verb == "set_weights":
-            name = frame.get("graph")
-            self.pool.set_weights(name,
-                                  weights=frame.get("weights"),
-                                  capacities=frame.get("capacities"))
-            out["repriced"] = name
-        elif verb == "mutate_weights":
-            name = frame.get("graph")
-            edges = frame.get("edges")
-            if not isinstance(edges, list):
-                raise ProtocolError("mutate_weights frame needs an "
-                                    "'edges' [[eid, weight], ...] list")
-            kwargs = {}
-            if frame.get("max_dirty_frac") is not None:
-                kwargs["max_dirty_frac"] = frame["max_dirty_frac"]
-            out["report"] = self.pool.mutate_weights(name, edges,
-                                                     **kwargs)
-        elif verb == "audit":
-            out["report"] = self.pool.audit_labeling(
-                frame.get("graph"), leaf_size=frame.get("leaf_size"),
-                backend=frame.get("backend", "engine"))
-        elif verb == "stats":
-            out["stats"] = self.pool.stats(
-                worker_catalogs=bool(frame.get("worker_catalogs", True)))
-        elif verb == "metrics":
-            fmt = frame.get("format", "snapshot")
-            snap = self.pool.metrics()
-            if fmt == "snapshot":
-                out["metrics"] = snap
-            elif fmt == "prometheus":
-                out["prometheus"] = obs.render_prometheus(snap)
-            else:
-                raise ProtocolError(f"unknown metrics format {fmt!r}; "
-                                    f"expected 'snapshot' or "
-                                    f"'prometheus'")
-        elif verb == "health":
-            report = self.pool.health()
-            fmt = frame.get("format", "report")
-            if fmt == "report":
-                out["health"] = report
-            elif fmt == "prometheus":
-                out["prometheus"] = obs.render_health_prometheus(report)
-            else:
-                raise ProtocolError(f"unknown health format {fmt!r}; "
-                                    f"expected 'report' or "
-                                    f"'prometheus'")
-        elif verb == "exemplars":
-            limit = frame.get("limit")
-            if limit is not None and (not isinstance(limit, int)
-                                      or limit < 1):
-                raise ProtocolError("exemplars 'limit' must be a "
-                                    "positive integer")
-            if self.flight_recorder is None:
-                out["exemplars"] = {"recording": False, "exemplars": [],
-                                    "retained": 0, "pending": 0,
-                                    "dropped": 0}
-            else:
-                dump = self.flight_recorder.dump(limit)
-                dump["recording"] = True
-                out["exemplars"] = dump
-        elif verb == "graphs":
-            out["graphs"] = self.pool.catalog.names()
-        elif verb == "ping":
-            from repro import __version__
-
-            out.update({"pong": True, "version": wire.PROTOCOL_VERSION,
-                        "repro": __version__})
-        else:
-            raise ProtocolError(f"unknown verb {verb!r}")
+        out.update(handler(self, frame))
         return out
+
+    # ------------------------------------------------------------------
+    # verb handlers: frame -> the verb's response fields
+    # ------------------------------------------------------------------
+    def _on_query(self, frame):
+        q = wire.query_from_wire(frame.get("query"))
+        return wire.query_result_to_wire(self.pool.submit(q).result())
+
+    def _on_batch(self, frame):
+        queries = frame.get("queries")
+        if not isinstance(queries, list):
+            raise ProtocolError("batch frame needs a 'queries' list")
+        futures = [self.pool.submit(wire.query_from_wire(p))
+                   for p in queries]
+        # per-query outcomes: one failed query must not turn the whole
+        # batch into an error frame (the other answers are already
+        # computed), so each entry carries its own ok flag and, on
+        # failure, its own typed error payload
+        entries = []
+        for f in futures:
+            try:
+                r = f.result()
+            except Exception as exc:
+                entries.append({"ok": False,
+                                "error": wire.exception_to_wire(exc)})
+            else:
+                entry = {"ok": True}
+                entry.update(wire.query_result_to_wire(r))
+                entries.append(entry)
+        return {"results": entries}
+
+    def _on_register(self, frame):
+        name = frame.get("name")
+        if not isinstance(name, str) or not name:
+            raise ProtocolError("register frame needs a 'name'")
+        graph = wire.graph_from_wire(frame.get("graph"))
+        self.pool.register(name, graph,
+                           overwrite=bool(frame.get("overwrite")))
+        return {"registered": name}
+
+    def _on_set_weights(self, frame):
+        name = frame.get("graph")
+        self.pool.set_weights(name, weights=frame.get("weights"),
+                              capacities=frame.get("capacities"))
+        return {"repriced": name}
+
+    def _on_mutate_weights(self, frame):
+        edges = frame.get("edges")
+        if not isinstance(edges, list):
+            raise ProtocolError("mutate_weights frame needs an "
+                                "'edges' [[eid, weight], ...] list")
+        kwargs = {}
+        if frame.get("max_dirty_frac") is not None:
+            kwargs["max_dirty_frac"] = frame["max_dirty_frac"]
+        return {"report": self.pool.mutate_weights(frame.get("graph"),
+                                                   edges, **kwargs)}
+
+    def _on_audit(self, frame):
+        return {"report": self.pool.audit_labeling(
+            frame.get("graph"), leaf_size=frame.get("leaf_size"),
+            backend=frame.get("backend", "engine"))}
+
+    def _on_stats(self, frame):
+        return {"stats": self.pool.stats(
+            worker_catalogs=bool(frame.get("worker_catalogs", True)))}
+
+    def _on_metrics(self, frame):
+        return _formatted(frame, "metrics", "snapshot",
+                          self.pool.metrics(), obs.render_prometheus)
+
+    def _on_health(self, frame):
+        return _formatted(frame, "health", "report", self.pool.health(),
+                          obs.render_health_prometheus)
+
+    def _on_exemplars(self, frame):
+        limit = frame.get("limit")
+        if limit is not None and (not isinstance(limit, int)
+                                  or limit < 1):
+            raise ProtocolError("exemplars 'limit' must be a positive "
+                                "integer")
+        if self.flight_recorder is None:
+            return {"exemplars": {"recording": False, "exemplars": [],
+                                  "retained": 0, "pending": 0,
+                                  "dropped": 0}}
+        dump = self.flight_recorder.dump(limit)
+        dump["recording"] = True
+        return {"exemplars": dump}
+
+    def _on_graphs(self, frame):
+        return {"graphs": self.pool.catalog.names()}
+
+    def _on_ping(self, frame):
+        from repro import __version__
+
+        return {"pong": True, "version": wire.PROTOCOL_VERSION,
+                "repro": __version__}
+
+
+#: verb -> handler, one ``_on_<verb>`` method per :data:`wire.VERBS` key
+QueryServer._HANDLERS = {verb: getattr(QueryServer, f"_on_{verb}")
+                         for verb in wire.VERBS}
+
+
+def _formatted(frame, verb, default, report, prometheus):
+    """A ``metrics``/``health`` response: ``report`` under ``verb`` in
+    the ``default`` format, or its ``prometheus`` text rendering."""
+    fmt = frame.get("format", default)
+    if fmt == default:
+        return {verb: report}
+    if fmt == "prometheus":
+        return {"prometheus": prometheus(report)}
+    raise ProtocolError(f"unknown {verb} format {fmt!r}; expected "
+                        f"{default!r} or 'prometheus'")
 
 
 _DEFAULT_PREWARM = ("flow", "distance")

@@ -78,17 +78,10 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # frame plumbing
     # ------------------------------------------------------------------
-    #: verbs safe to re-send after a dropped connection — a repeat
-    #: serves the same answer.  ``register`` is deliberately absent: a
-    #: reset can arrive *after* the server executed the frame, and a
-    #: resent register would fail as "already registered" (or worse,
-    #: with overwrite=True, silently run twice)
-    #: ``mutate_weights`` is absolute (edge id -> new weight, not a
-    #: delta), so a resend after a reset is a value-identical no-op
+    #: verbs safe to re-send after a dropped connection (see
+    #: :data:`~repro.server.wire.VERBS`)
     _RETRY_VERBS = frozenset(
-        {"query", "batch", "stats", "metrics", "graphs", "ping",
-         "set_weights", "mutate_weights", "audit", "health",
-         "exemplars"})
+        verb for verb, safe in wire.VERBS.items() if safe)
 
     def _call(self, verb, **payload):
         if not obs.enabled():
@@ -229,11 +222,8 @@ class ServiceClient:
             env.retried = retried
             seen.add(q)
             results.append(env)
-        warm = sum(bool(r.warm) for r in results)
         return BatchReport(results=results,
-                           seconds=time.perf_counter() - t0,
-                           warm_hits=warm,
-                           cold_misses=len(results) - warm)
+                           seconds=time.perf_counter() - t0)
 
     def distances(self, graph, pairs, backend="auto"):
         """Coalesced dual distances: one round-trip for many ``(f, g)``

@@ -1,10 +1,10 @@
 """Pre-warmed worker pool: compile once, serve from many processes
 (DESIGN.md §10).
 
-The serving problem after PR 3/PR 4 is not making warm queries fast —
-it is *sharing the warmth*: ``run_sharded`` forked one cold process per
-graph, so every worker re-paid the CSR compile, BDD build and
-Theorem 2.1 labeling before answering anything.  A
+The serving problem is not making warm queries fast — it is *sharing
+the warmth*: a worker process that builds its own catalog re-pays the
+CSR compile, BDD build and Theorem 2.1 labeling before answering
+anything.  A
 :class:`WarmWorkerPool` inverts the order:
 
 1. **register + prewarm** — graphs are registered in the *master*
@@ -22,8 +22,8 @@ Theorem 2.1 labeling before answering anything.  A
 3. **serve** — queries are dispatched over *all* workers with a
    bounded per-worker window: any worker answers any query, so a skewed
    mix (10⁴ queries on one graph, 3 on another) still saturates the
-   pool — the imbalance that one-shard-per-graph ``run_sharded`` could
-   not avoid.
+   pool — the imbalance a one-process-per-graph fan-out cannot
+   avoid.
 
 Consistency: each worker owns a private catalog copy, and commands
 (``register``, ``set_weights``, ``mutate_weights``) are broadcast to
@@ -236,7 +236,7 @@ class WarmWorkerPool:
         self._pending = deque()  # (job_id, query, trace_ctx, t_submit)
         self._futures = {}                 # job_id -> Future
         self._assigned = {}                # job_id -> worker_id
-        self._job_kind = {}                # job_id -> "query" | "stats"
+        self._job_kind = {}                # job_id -> "query" | probe verb
         self._inflight = {}                # worker_id -> count
         self._completed = {}               # worker_id -> count
         self._dead = set()
@@ -244,7 +244,6 @@ class WarmWorkerPool:
         # watchdog / health state
         self._started_at = None            # monotonic, set by start()
         self._last_seen = {}               # worker_id -> monotonic
-        self._stalled = set()              # watchdog's last verdict
         self._watchdog = None
         self._watchdog_stop = threading.Event()
         # background audit scheduler (opt-in)
@@ -461,11 +460,8 @@ class WarmWorkerPool:
         t0 = time.perf_counter()
         futures = [self.submit(q) for q in queries]
         results = [f.result() for f in futures]
-        warm = sum(bool(r.warm) for r in results)
         return BatchReport(results=results,
-                           seconds=time.perf_counter() - t0,
-                           warm_hits=warm,
-                           cold_misses=len(results) - warm)
+                           seconds=time.perf_counter() - t0)
 
     def drain(self, timeout=None):
         """Block until every submitted query has resolved — the barrier
@@ -535,26 +531,10 @@ class WarmWorkerPool:
             master = self.catalog.audit_labeling(name,
                                                  leaf_size=leaf_size,
                                                  backend=backend)
-        reports = {"master": master, "workers": {}}
-        if not self.workers or not self._started or self._closed:
-            return reports
-        futures = {}
-        with self._lock:
-            for wid in self._procs:
-                if wid in self._dead:
-                    continue
-                self._job_counter += 1
-                job_id = self._job_counter
-                fut = Future()
-                self._futures[job_id] = fut
-                self._assigned[job_id] = wid
-                self._job_kind[job_id] = "stats"  # accounting-free job
-                futures[wid] = fut
-                self._command_qs[wid].put(
-                    ("audit", job_id, name, leaf_size, backend))
-        for wid, fut in futures.items():
-            reports["workers"][wid] = fut.result(timeout=timeout)
-        return reports
+        futures = self._ask_workers("audit", name, leaf_size, backend)
+        return {"master": master,
+                "workers": {wid: fut.result(timeout=timeout)
+                            for wid, fut in futures.items()}}
 
     # ------------------------------------------------------------------
     # observability
@@ -570,21 +550,7 @@ class WarmWorkerPool:
         available exactly when the pool is loaded."""
         now = time.monotonic()
         with self._lock:
-            occupancy = [{"worker": wid,
-                          "alive": wid not in self._dead,
-                          "pid": self._procs[wid].pid,
-                          "inflight": self._inflight.get(wid, 0),
-                          "completed": self._completed.get(wid, 0),
-                          "heartbeat_age_s":
-                              now - self._last_seen.get(wid, now)}
-                         for wid in self._procs] or \
-                        [{"worker": "in-process", "alive": True,
-                          "pid": os.getpid(),
-                          "inflight": 0,
-                          "completed": sum(
-                              row["count"]
-                              for row in self._by_kind.values()),
-                          "heartbeat_age_s": 0.0}]
+            occupancy = self._worker_rows(now)
             by_kind = {kind: dict(row)
                        for kind, row in self._by_kind.items()}
             pending = len(self._pending)
@@ -603,21 +569,8 @@ class WarmWorkerPool:
             # counters/latencies as by_kind plus every instrumented
             # site, aggregated across shipped worker deltas
             stats["metrics"] = obs.registry().snapshot()
-        if worker_catalogs and self.workers and self._started \
-                and not self._closed:
-            futures = {}
-            with self._lock:
-                for wid in self._procs:
-                    if wid in self._dead:
-                        continue
-                    self._job_counter += 1
-                    job_id = self._job_counter
-                    fut = Future()
-                    self._futures[job_id] = fut
-                    self._assigned[job_id] = wid
-                    self._job_kind[job_id] = "stats"
-                    futures[wid] = fut
-                    self._command_qs[wid].put(("stats", job_id))
+        if worker_catalogs and self._forked():
+            futures = self._ask_workers("stats")
             from concurrent.futures import TimeoutError as _Timeout
 
             catalogs = {}
@@ -685,43 +638,17 @@ class WarmWorkerPool:
         with self._lock:
             started, closed = self._started, self._closed
             pending = len(self._pending)
-            inflight = dict(self._inflight)
-            completed = dict(self._completed)
-            dead = set(self._dead)
-            last_seen = dict(self._last_seen)
-            by_kind_total = sum(row["count"]
-                                for row in self._by_kind.values())
-        if self.workers == 0:
-            live = started and not closed
-            detail = [{"worker": "in-process", "alive": live,
-                       "stalled": False, "heartbeat_age_s": 0.0,
-                       "inflight": 0, "completed": by_kind_total}]
-            alive, stalled, total = (1 if live else 0), set(), 1
-        else:
-            detail = []
-            stalled = set()
-            for wid, proc in self._procs.items():
-                is_dead = wid in dead
-                age = now - last_seen.get(wid, now)
-                is_stalled = (not is_dead
-                              and age > self.stall_after)
-                if is_stalled:
-                    stalled.add(wid)
-                detail.append({
-                    "worker": wid, "alive": not is_dead,
-                    "stalled": is_stalled,
-                    "heartbeat_age_s": age,
-                    "inflight": inflight.get(wid, 0),
-                    "completed": completed.get(wid, 0)})
-            total = len(self._procs)
-            alive = total - len(dead)
+            detail = self._worker_rows(now)
+        total = len(detail)
+        alive = sum(row["alive"] for row in detail)
+        stalled = sum(row["stalled"] for row in detail)
         if closed:
             state = "closed"
         elif not started:
             state = "starting"
-        elif self.workers and total and alive == 0:
+        elif total and alive == 0:
             state = "unready"
-        elif dead or stalled:
+        elif alive < total or stalled:
             state = "degraded"
         else:
             state = "ready"
@@ -744,9 +671,9 @@ class WarmWorkerPool:
             "uptime_s": (now - self._started_at
                          if self._started_at is not None else 0.0),
             "workers": {"total": total, "alive": alive,
-                        "stalled": len(stalled), "detail": detail},
+                        "stalled": stalled, "detail": detail},
             "queue_depth": pending,
-            "inflight": sum(inflight.values()),
+            "inflight": sum(row["inflight"] for row in detail),
             "slos": slo_report,
             "audit": audit,
         }
@@ -754,12 +681,57 @@ class WarmWorkerPool:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _forked(self):
+        """True while forked workers are serving commands."""
+        return bool(self.workers) and self._started and not self._closed
+
     def _broadcast(self, msg):
-        if not self.workers or not self._started or self._closed:
+        if not self._forked():
             return
         for wid, cq in self._command_qs.items():
             if wid not in self._dead:
                 cq.put(msg)
+
+    def _ask_workers(self, verb, *args):
+        """Put ``(verb, job_id, *args)`` on every live worker's command
+        queue as an accounting-free job (not a query: it moves no
+        occupancy counter); returns ``{worker_id: Future}``."""
+        futures = {}
+        if not self._forked():
+            return futures
+        with self._lock:
+            for wid in self._procs:
+                if wid in self._dead:
+                    continue
+                self._job_counter += 1
+                job_id = self._job_counter
+                futures[wid] = self._futures[job_id] = Future()
+                self._assigned[job_id] = wid
+                self._job_kind[job_id] = verb
+                self._command_qs[wid].put((verb, job_id) + args)
+        return futures
+
+    def _worker_rows(self, now):
+        """One liveness/load row per worker — the ``occupancy`` of
+        :meth:`stats` and the ``detail`` of :meth:`health`; a single
+        ``in-process`` row for ``workers=0``.  Caller holds the lock."""
+        if not self.workers:
+            return [{"worker": "in-process",
+                     "alive": self._started and not self._closed,
+                     "stalled": False, "pid": os.getpid(),
+                     "heartbeat_age_s": 0.0, "inflight": 0,
+                     "completed": sum(row["count"]
+                                      for row in self._by_kind.values())}]
+        rows = []
+        for wid, proc in self._procs.items():
+            alive = wid not in self._dead
+            age = now - self._last_seen.get(wid, now)
+            rows.append({"worker": wid, "alive": alive,
+                         "stalled": alive and age > self.stall_after,
+                         "pid": proc.pid, "heartbeat_age_s": age,
+                         "inflight": self._inflight.get(wid, 0),
+                         "completed": self._completed.get(wid, 0)})
+        return rows
 
     def _fill(self):
         """Dispatch pending queries to the least-loaded live workers,
@@ -890,8 +862,8 @@ class WarmWorkerPool:
     # ------------------------------------------------------------------
     def _watchdog_loop(self):
         """Drive the liveness machinery on a clock: reap dead workers,
-        refresh the stalled set and the queue-depth/in-flight gauges,
-        and fire the background audit on idle ticks."""
+        refresh the liveness, queue-depth and in-flight gauges, and
+        fire the background audit on idle ticks."""
         interval = min(self.heartbeat_interval, 0.5)
         while not self._watchdog_stop.wait(interval):
             try:
@@ -906,25 +878,17 @@ class WarmWorkerPool:
             now = time.monotonic()
         if self.workers:
             self._reap_dead()
-            stalled = set()
-            for wid in self._procs:
-                if wid in self._dead:
-                    continue
-                if now - self._last_seen.get(wid, now) \
-                        > self.stall_after:
-                    stalled.add(wid)
-            self._stalled = stalled
         if obs.enabled():
             with self._lock:
                 pending = len(self._pending)
-                inflight = sum(self._inflight.values())
+                rows = self._worker_rows(now)
             obs.set_gauge("pool.queue_depth", pending)
-            obs.set_gauge("pool.inflight", inflight)
+            obs.set_gauge("pool.inflight",
+                          sum(row["inflight"] for row in rows))
             obs.set_gauge("pool.workers_alive",
-                          (len(self._procs) - len(self._dead))
-                          if self.workers else 1)
+                          sum(row["alive"] for row in rows))
             obs.set_gauge("pool.workers_stalled",
-                          len(self._stalled))
+                          sum(row["stalled"] for row in rows))
         self._maybe_audit(now)
 
     def _maybe_audit(self, now):

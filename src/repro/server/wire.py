@@ -11,10 +11,9 @@ response echoes both plus ``ok``:
     {"v": 1, "id": 8, "ok": false,
      "error": {"type": "ServiceError", "message": "unknown graph 'x'"}}
 
-Verbs: ``query``, ``batch``, ``register``, ``set_weights``,
-``mutate_weights``, ``audit``, ``stats``, ``graphs``, ``ping``.
-Responses to failures are *typed error frames*: the server ships the
-exception class name (plus the ``where`` payload of a
+The verbs are the keys of :data:`VERBS`.  Responses to failures are
+*typed error frames*: the server ships the exception class name (plus
+the ``where`` payload of a
 :class:`~repro.errors.NegativeCycleError` — tuples travel as JSON
 lists and come back as tuples), and
 :func:`exception_from_wire` re-raises the same class on the client when
@@ -68,6 +67,28 @@ QUERY_KINDS = {
     "distance": DistanceQuery,
 }
 _KIND_OF_QUERY = {cls: kind for kind, cls in QUERY_KINDS.items()}
+
+#: every verb the server answers -> whether a client may re-send it
+#: after a dropped connection (a repeat serves the same answer).
+#: ``register`` may not: a reset can arrive *after* the server executed
+#: the frame, and a resent register would fail as "already registered"
+#: (or, with overwrite=True, silently run twice).  ``mutate_weights``
+#: is absolute (edge id -> new weight, not a delta), so a resend after
+#: a reset is a value-identical no-op.
+VERBS = {
+    "query": True,
+    "batch": True,
+    "register": False,
+    "set_weights": True,
+    "mutate_weights": True,
+    "audit": True,
+    "stats": True,
+    "metrics": True,
+    "health": True,
+    "exemplars": True,
+    "graphs": True,
+    "ping": True,
+}
 
 
 # ----------------------------------------------------------------------
@@ -309,6 +330,7 @@ def exception_from_wire(payload):
 __all__ = [
     "PROTOCOL_VERSION",
     "QUERY_KINDS",
+    "VERBS",
     "encode_frame",
     "decode_frame",
     "check_version",

@@ -1,5 +1,5 @@
 """Batched query execution: many queries against cached artifacts, and
-an optional process-shard path for multi-graph fan-out (DESIGN.md §8).
+a warm-pool path for multi-graph fan-out (DESIGN.md §8).
 
 :func:`run_batch` serves a sequence of typed queries through one
 catalog.  Amortization is automatic — the catalog's artifact cache
@@ -14,18 +14,15 @@ order and are bit-identical to the per-call entry points.
 worker pool of :mod:`repro.server.pool`: artifacts are built once in
 the parent (per the query mix), the workers inherit them copy-on-write,
 and every query is load-balanced over *all* workers — so a skewed mix
-(10⁴ queries on one graph, 3 on another) no longer serializes behind
-the one worker that owns the hot graph, which is what the original
-one-shard-per-graph fan-out did.  That older path (each worker process
-builds a private single-graph catalog cold) survives behind
-``fork_per_graph=True`` with a :class:`DeprecationWarning`.
+(10⁴ queries on one graph, 3 on another) never serializes behind the
+one worker that owns the hot graph.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.service.queries import execute_query
 
@@ -36,9 +33,16 @@ class BatchReport:
 
     results: list
     seconds: float
-    #: result-cache hits / cold executions
-    warm_hits: int = 0
-    cold_misses: int = 0
+
+    @property
+    def warm_hits(self):
+        """Results served from a warm result cache."""
+        return sum(bool(r.warm) for r in self.results)
+
+    @property
+    def cold_misses(self):
+        """Results executed cold."""
+        return len(self.results) - self.warm_hits
 
     def values(self):
         """The bare result objects, in input order."""
@@ -67,45 +71,15 @@ def run_batch(catalog, queries, planner=None):
     ``queries[i]``.
     """
     t0 = time.perf_counter()
-    results = []
-    warm = 0
-    for q in queries:
-        r = execute_query(catalog, q, planner=planner)
-        warm += bool(r.warm)
-        results.append(r)
+    results = [execute_query(catalog, q, planner=planner)
+               for q in queries]
     return BatchReport(results=results,
-                       seconds=time.perf_counter() - t0,
-                       warm_hits=warm,
-                       cold_misses=len(results) - warm)
+                       seconds=time.perf_counter() - t0)
 
 
 # ----------------------------------------------------------------------
 # multi-process fan-out
 # ----------------------------------------------------------------------
-@dataclass
-class _Shard:
-    """One worker's payload on the deprecated fork-per-graph path: a
-    graph and its (index, query) slice."""
-
-    name: str
-    graph: object
-    indexed_queries: list = field(default_factory=list)
-
-
-def _shard_worker(shard):
-    """Deprecated-path worker entry point (top-level for pickling):
-    serve one graph's queries in a fresh private catalog — every worker
-    pays its own cold compile/labeling before the first answer."""
-    from repro.service.catalog import GraphCatalog
-
-    catalog = GraphCatalog()
-    catalog.register(shard.name, shard.graph)
-    out = []
-    for idx, query in shard.indexed_queries:
-        out.append((idx, execute_query(catalog, query)))
-    return out
-
-
 def _prewarm_queries(queries):
     """One representative query per distinct *artifact signature* —
     what :func:`run_sharded` executes in the parent, pre-fork, so the
@@ -126,8 +100,7 @@ def _prewarm_queries(queries):
     return list(reps.values())
 
 
-def run_sharded(graphs, queries, max_workers=None, prewarm=True,
-                fork_per_graph=False):
+def run_sharded(graphs, queries, max_workers=None, prewarm=True):
     """Fan a multi-graph batch out over worker processes.
 
     ``graphs`` maps name -> :class:`~repro.planar.graph.PlanarGraph`;
@@ -147,11 +120,6 @@ def run_sharded(graphs, queries, max_workers=None, prewarm=True,
     ``warm`` accounting in the report is per *worker* catalog: a
     repeated query may land on different workers and be cold in each
     until every copy has seen it.
-
-    ``fork_per_graph=True`` runs the pre-pool implementation (one cold
-    single-graph process per shard) and warns: it exists only as a
-    migration escape hatch and as the baseline that
-    ``benchmarks/bench_server.py`` races.
     """
     from repro.errors import ServiceError
 
@@ -161,15 +129,6 @@ def run_sharded(graphs, queries, max_workers=None, prewarm=True,
             raise ServiceError(f"query names unknown graph "
                                f"{q.graph!r}; provided: "
                                f"{sorted(graphs)}")
-    if fork_per_graph:
-        import warnings
-
-        warnings.warn(
-            "run_sharded(fork_per_graph=True) forks one cold process "
-            "per graph and is deprecated; the default warm-pool path "
-            "builds artifacts once and load-balances every query",
-            DeprecationWarning, stacklevel=2)
-        return _run_fork_per_graph(graphs, queries, max_workers)
 
     # lazy import: repro.server builds on repro.service, so the service
     # layer only reaches up from inside this call, never at import time
@@ -203,12 +162,10 @@ def run_sharded(graphs, queries, max_workers=None, prewarm=True,
         report = pool.run(queries)
     finally:
         pool.close()
-        # the old fork-per-graph path left the parent process clean
-        # (all builds happened in throwaway children); the warm pool
-        # builds in the parent, so free the shared-cache entries
-        # (compiled CSR, bags, oracles) of graphs this call introduced
-        # — but never those of a graph the caller was already serving
-        # engine queries from before this call
+        # the warm pool builds in the parent, so free the shared-cache
+        # entries (compiled CSR, bags, oracles) of graphs this call
+        # introduced — but never those of a graph the caller was
+        # already serving engine queries from before this call
         from repro._artifacts import topo_token
 
         for name, graph in graphs.items():
@@ -217,32 +174,3 @@ def run_sharded(graphs, queries, max_workers=None, prewarm=True,
                 pool.catalog.unregister(name)
     report.seconds = time.perf_counter() - t0
     return report
-
-
-def _run_fork_per_graph(graphs, queries, max_workers):
-    """The deprecated one-shard-per-graph fan-out."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    shards = OrderedDict()
-    for idx, q in enumerate(queries):
-        shard = shards.get(q.graph)
-        if shard is None:
-            shard = shards[q.graph] = _Shard(name=q.graph,
-                                             graph=graphs[q.graph])
-        shard.indexed_queries.append((idx, q))
-
-    t0 = time.perf_counter()
-    results = [None] * len(queries)
-    if max_workers is None:
-        import os
-
-        max_workers = max(1, min(len(shards), os.cpu_count() or 1))
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        for pairs in pool.map(_shard_worker, shards.values()):
-            for idx, r in pairs:
-                results[idx] = r
-    warm = sum(bool(r.warm) for r in results)
-    return BatchReport(results=results,
-                       seconds=time.perf_counter() - t0,
-                       warm_hits=warm,
-                       cold_misses=len(results) - warm)

@@ -588,13 +588,6 @@ class GraphCatalog:
 
         return execute_query(self, query, planner=planner)
 
-    def serve_batch(self, queries, planner=None):
-        """Execute a query batch; returns a
-        :class:`~repro.service.batch.BatchReport`."""
-        from repro.service.batch import run_batch
-
-        return run_batch(self, queries, planner=planner)
-
     def stats(self):
         """Cache observability: artifact/result cache counters plus the
         engine's shared cache."""
@@ -768,7 +761,7 @@ class CatalogSnapshot:
 
         Shared-cache entries are re-inserted under the topology tokens
         *this* process assigns to the snapshot's graphs (tokens never
-        survive a pickle, by design — see ``PlanarGraph.__getstate__``),
+        survive a pickle, by design — see ``PlanarGraph.__reduce__``),
         so the restored compiled CSR / labeling bags / cycle oracles are
         found by every engine code path exactly as if they had been
         built here.

@@ -344,5 +344,22 @@ class TestVersionedWeights:
         assert h.weights.version == 2
 
 
+    def test_graph_pickle_restores_every_attribute_but_the_token(self):
+        from repro._artifacts import topo_token
+
+        g = grid(3, 4)
+        g.weights[0] = 3
+        assert g.faces and g.face_of
+        token = topo_token(g)
+        h = pickle.loads(pickle.dumps(g))
+        want = {k: v for k, v in vars(g).items()
+                if k != "_artifact_topo_token"}
+        assert want["_faces"] is not None and want["_face_of"] is not None
+        assert vars(h) == want
+        assert type(h.weights) is VersionedList
+        assert h.weights.version == g.weights.version == 1
+        assert topo_token(h) != token
+
+
 def _edge_not_adjacent_to_face(g, eid, fid):
     return g.face_of[2 * eid] != fid and g.face_of[2 * eid + 1] != fid

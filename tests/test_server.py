@@ -643,6 +643,80 @@ class TestServerEndToEnd:
         client.close()
 
 
+class _DroppingServer:
+    """A stand-in server on a loopback port: it reads and records every
+    request frame, and when ``drop_next`` is set closes the connection
+    instead of answering (the frame arrived, its answer is lost)."""
+
+    def __init__(self):
+        import threading
+
+        self.frames = []
+        self.drop_next = False
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self.address = self._sock.getsockname()[:2]
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return
+            with conn, conn.makefile("rwb") as f:
+                for line in f:
+                    frame = wire.decode_frame(line)
+                    self.frames.append(frame)
+                    if self.drop_next:
+                        self.drop_next = False
+                        break
+                    reply = {"v": PROTOCOL_VERSION, "id": frame["id"],
+                             "ok": True, "pong": True}
+                    if frame["verb"] == "query":
+                        reply.update(backend="engine", warm=False,
+                                     seconds=0.0,
+                                     result={"kind": "number",
+                                             "value": 7})
+                    f.write(wire.encode_frame(reply))
+                    f.flush()
+
+    def close(self):
+        self._sock.close()
+
+
+def test_client_resends_only_retry_safe_verbs():
+    srv = _DroppingServer()
+    client = ServiceClient(*srv.address, timeout=30)
+    try:
+        srv.drop_next = True
+        assert client.ping()["pong"] is True
+        srv.drop_next = True
+        r = client.query(DistanceQuery("g", 0, 3))
+        assert r.result == 7 and r.retried is True
+        srv.drop_next = True
+        with pytest.raises((EOFError, ConnectionResetError)):
+            client.register("h", make_grid(2, 2))
+        # ping and query went out twice, the very same frame each time;
+        # register went out once and was not replayed
+        assert [f["verb"] for f in srv.frames] == \
+            ["ping", "ping", "query", "query", "register"]
+        assert srv.frames[0] == srv.frames[1]
+        assert srv.frames[2] == srv.frames[3]
+        assert client.reconnects == 2
+    finally:
+        client.close()
+        srv.close()
+
+
+def test_verb_table_is_the_one_source():
+    assert set(QueryServer._HANDLERS) == set(wire.VERBS)
+    assert {name[len("_on_"):] for name in vars(QueryServer)
+            if name.startswith("_on_")} == set(wire.VERBS)
+    assert ServiceClient._RETRY_VERBS == \
+        {verb for verb, safe in wire.VERBS.items() if safe}
+    assert "register" not in ServiceClient._RETRY_VERBS
+
+
 def test_run_sharded_prewarm_signatures_per_graph_and_knob():
     from repro.service.batch import _prewarm_queries
 
