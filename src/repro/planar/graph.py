@@ -360,9 +360,6 @@ class PlanarGraph:
         comp = [-1] * self.n
         comps = []
         for s in range(self.n):
-            if comp[s] != -1 or (self.degree(s) == 0 and self.n > 1):
-                # isolated vertices form their own components below
-                pass
             if comp[s] != -1:
                 continue
             cur = len(comps)

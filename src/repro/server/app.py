@@ -161,14 +161,17 @@ class QueryServer:
     # verb handlers: frame -> the verb's response fields
     # ------------------------------------------------------------------
     def _on_query(self, frame):
+        # the worker ships a flow/cut/girth result encoded (wire.Body),
+        # which encode_frame splices into the response as is
         q = wire.query_from_wire(frame.get("query"))
-        return wire.query_result_to_wire(self.pool.submit(q).result())
+        return wire.query_result_to_wire(
+            self.pool.submit(q, body=True).result())
 
     def _on_batch(self, frame):
         queries = frame.get("queries")
         if not isinstance(queries, list):
             raise ProtocolError("batch frame needs a 'queries' list")
-        futures = [self.pool.submit(wire.query_from_wire(p))
+        futures = [self.pool.submit(wire.query_from_wire(p), body=True)
                    for p in queries]
         # per-query outcomes: one failed query must not turn the whole
         # batch into an error frame (the other answers are already

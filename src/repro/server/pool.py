@@ -52,8 +52,22 @@ from concurrent.futures import Future
 
 from repro import obs
 from repro.errors import RemoteError, ServiceError
+from repro.server import wire
+from repro.service.queries import execute_query
 
 _PREWARM_KINDS = ("flow", "cut", "distance", "girth")
+
+
+def _execute(catalog, query, bodies=None):
+    """Serve one query; given ``bodies`` (a :class:`~repro.server.
+    wire.BodyMemo`, for a :class:`~repro.server.app.QueryServer` job)
+    a flow, cut or girth result is replaced by its encoded
+    :class:`~repro.server.wire.Body`, so it is encoded once and
+    crosses the result queue as text."""
+    r = execute_query(catalog, query)
+    if bodies is not None:
+        r.result = bodies.ship(r.result)
+    return r
 
 
 def _worker_main(worker_id, catalog, snapshot, command_q, result_q,
@@ -80,13 +94,12 @@ def _worker_main(worker_id, catalog, snapshot, command_q, result_q,
     """
     import queue as _queue
 
-    from repro.service.queries import execute_query
-
     if obs_on:
         obs.enable()
     obs.configure_shipping(True)  # inherited sinks must stay silent
     if catalog is None:
         catalog = snapshot.restore()
+    bodies = wire.BodyMemo(catalog.results.maxsize)
     while True:
         if hb_interval > 0:
             try:
@@ -101,7 +114,7 @@ def _worker_main(worker_id, catalog, snapshot, command_q, result_q,
         if verb == "stop":
             break
         if verb == "query":
-            _, job_id, query, ctx, t_submit = msg
+            _, job_id, query, body, ctx, t_submit = msg
             token = None
             if obs.enabled():
                 obs.observe("pool.queue_wait_seconds",
@@ -109,7 +122,8 @@ def _worker_main(worker_id, catalog, snapshot, command_q, result_q,
                 token = obs.activate_trace(ctx)
             try:
                 result_q.put((worker_id, job_id, True,
-                              execute_query(catalog, query),
+                              _execute(catalog, query,
+                                       bodies if body else None),
                               obs.ship_delta()))
             except Exception as exc:
                 result_q.put((worker_id, job_id, False, _ship_exc(exc),
@@ -219,6 +233,8 @@ class WarmWorkerPool:
         self.start_method = start_method
         self.catalog = catalog if catalog is not None \
             else GraphCatalog(planner=planner)
+        # the workers=0 mode's encoded bodies (each worker owns its own)
+        self._bodies = wire.BodyMemo(self.catalog.results.maxsize)
         #: declarative SLOs the ``health`` verb evaluates (iterable of
         #: :class:`repro.obs.SloPolicy`; None -> the default wildcard)
         self.slos = tuple(slos) if slos else None
@@ -233,7 +249,8 @@ class WarmWorkerPool:
         self._result_q = None
         self._collector = None
         self._job_counter = 0
-        self._pending = deque()  # (job_id, query, trace_ctx, t_submit)
+        # (job_id, query, body, trace_ctx, t_submit)
+        self._pending = deque()
         self._futures = {}                 # job_id -> Future
         self._assigned = {}                # job_id -> worker_id
         self._job_kind = {}                # job_id -> "query" | probe verb
@@ -400,13 +417,18 @@ class WarmWorkerPool:
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
-    def submit(self, query):
+    def submit(self, query, body=False):
         """Enqueue one typed query; returns a
         :class:`concurrent.futures.Future` resolving to the worker's
         :class:`~repro.service.queries.QueryResult` (or raising what
-        the query raised)."""
-        from repro.service.queries import execute_query
+        the query raised).
 
+        With ``body=True`` (what :class:`~repro.server.app.QueryServer`
+        asks for) the envelope's ``result`` is what
+        :meth:`~repro.server.wire.BodyMemo.ship` gives: the
+        :class:`~repro.server.wire.Body` the worker encoded for a flow,
+        cut or girth result, a distance as itself.
+        """
         if not self._started:
             raise ServiceError("pool not started (call start())")
         fut = Future()
@@ -415,7 +437,8 @@ class WarmWorkerPool:
                 if self._closed:
                     raise ServiceError("worker pool closed")
                 try:
-                    r = execute_query(self.catalog, query)
+                    r = _execute(self.catalog, query,
+                                 self._bodies if body else None)
                 except Exception as exc:
                     fut.set_exception(exc)
                 else:
@@ -443,7 +466,7 @@ class WarmWorkerPool:
             job_id = self._job_counter
             self._futures[job_id] = fut
             self._job_kind[job_id] = "query"
-            self._pending.append((job_id, query, ctx, t_submit))
+            self._pending.append((job_id, query, body, ctx, t_submit))
             self._fill()
         return fut
 
@@ -744,13 +767,14 @@ class WarmWorkerPool:
             if not candidates:
                 return
             count, wid = min(candidates)
-            job_id, query, ctx, t_submit = self._pending.popleft()
+            job_id, query, body, ctx, t_submit = \
+                self._pending.popleft()
             self._assigned[job_id] = wid
             self._inflight[wid] = count + 1
             if obs.enabled():
                 obs.inc("pool.dispatched")
             self._command_qs[wid].put(
-                ("query", job_id, query, ctx, t_submit))
+                ("query", job_id, query, body, ctx, t_submit))
 
     def _account(self, kind, result):
         row = self._by_kind.setdefault(

@@ -28,14 +28,23 @@ the protocol):
   :func:`~repro.service.queries.execute_query` results;
 * ``Infinity`` is legal (Python's ``json`` default) — an unreachable
   dual distance really is ``math.inf``;
-* int-keyed dicts (flow assignments) travel as ``[key, value]`` pair
-  lists, since JSON objects would stringify the keys.
+* a flow assignment keyed exactly ``0..m-1`` in order — every flow
+  the solvers return (one value per edge) — travels as the bare value
+  list; any other int-keyed dict travels as ``[key, value]`` pairs,
+  since JSON objects would stringify the keys.  The decoder accepts
+  both, so a pair-form frame from an older peer still decodes;
+* a served flow, cut or girth result is encoded once: a worker ships
+  the JSON text of its :func:`result_to_wire` payload
+  (:class:`BodyMemo`, memoized per result object) and
+  :func:`encode_frame` splices that :class:`Body` into the response
+  verbatim.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import OrderedDict
 from dataclasses import asdict, fields
 
 import repro.errors as _errors
@@ -94,14 +103,66 @@ VERBS = {
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
+class Body:
+    """JSON text that is already encoded — a served result's body, as
+    :class:`BodyMemo` builds it.  :func:`encode_frame` splices it into
+    a frame verbatim; plain :func:`json.dumps` refuses it."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+    def __reduce__(self):
+        return (Body, (self.text,))
+
+
+class _HoldsBody(Exception):
+    pass
+
+
+def _no_body(obj):
+    if type(obj) is Body:
+        raise _HoldsBody
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    f"serializable")
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_no_body)
+_CONTAINERS = (Body, dict, list, tuple)
+
+
+def _json(value):
+    """Compact JSON text of ``value``, each :class:`Body` in it spliced
+    in verbatim.  The C encoder does all the work until it meets a
+    Body; only the dicts and lists on the way to one are walked here,
+    and a walked dict's scalar fields still take one encoder call."""
+    if type(value) is Body:
+        return value.text
+    try:
+        return _ENCODER.encode(value)
+    except _HoldsBody:
+        pass
+    if not isinstance(value, dict):
+        return "[" + ",".join(map(_json, value)) + "]"
+    plain, parts = {}, []
+    for k, v in value.items():
+        if isinstance(v, _CONTAINERS):
+            parts.append(f"{_ENCODER.encode(str(k))}:{_json(v)}")
+        else:
+            plain[k] = v
+    if plain:
+        parts.insert(0, _ENCODER.encode(plain)[1:-1])
+    return "{" + ",".join(parts) + "}"
+
+
 def encode_frame(payload):
-    """One frame: compact JSON + newline, as bytes."""
+    """One frame: compact JSON + newline, as bytes (a :class:`Body`
+    in ``payload`` is spliced in as the text it holds)."""
     if not obs.enabled():
-        return (json.dumps(payload, separators=(",", ":"))
-                + "\n").encode("utf-8")
+        return (_json(payload) + "\n").encode("utf-8")
     t0 = time.perf_counter()
-    data = (json.dumps(payload, separators=(",", ":"))
-            + "\n").encode("utf-8")
+    data = (_json(payload) + "\n").encode("utf-8")
     obs.inc("wire.frames_encoded")
     obs.observe("wire.encode_seconds", time.perf_counter() - t0)
     return data
@@ -171,8 +232,18 @@ def query_from_wire(payload):
 # ----------------------------------------------------------------------
 # results
 # ----------------------------------------------------------------------
-def _pairs(mapping):
-    return [[k, v] for k, v in sorted(mapping.items())]
+def _flow_to_wire(flow):
+    """The bare value list when the keys are exactly ``0..len-1`` in
+    order (every solver's flow), else ``[key, value]`` pairs."""
+    if list(flow) == list(range(len(flow))):
+        return list(flow.values())
+    return [[k, v] for k, v in sorted(flow.items())]
+
+
+def _flow_from_wire(items):
+    if items and isinstance(items[0], list):
+        return dict(map(tuple, items))
+    return dict(enumerate(items))
 
 
 def result_to_wire(result):
@@ -186,13 +257,13 @@ def result_to_wire(result):
         return {"kind": "number", "value": result}
     if isinstance(result, MaxFlowResult):
         return {"kind": "max-flow", "value": result.value,
-                "flow": _pairs(result.flow), "probes": result.probes,
+                "flow": _flow_to_wire(result.flow), "probes": result.probes,
                 "path_darts": list(result.path_darts)}
     if isinstance(result, MinCutResult):
         return {"kind": "min-cut", "value": result.value,
                 "source_side": list(result.source_side),
                 "cut_edge_ids": list(result.cut_edge_ids),
-                "flow": _pairs(result.flow)}
+                "flow": _flow_to_wire(result.flow)}
     if isinstance(result, GirthResult):
         return {"kind": "girth", "value": result.value,
                 "cycle_edge_ids": list(result.cycle_edge_ids),
@@ -215,14 +286,14 @@ def result_from_wire(payload):
         return payload["value"]
     if kind == "max-flow":
         return MaxFlowResult(value=payload["value"],
-                             flow=dict(map(tuple, payload["flow"])),
+                             flow=_flow_from_wire(payload["flow"]),
                              probes=payload["probes"],
                              path_darts=list(payload["path_darts"]))
     if kind == "min-cut":
         return MinCutResult(value=payload["value"],
                             source_side=list(payload["source_side"]),
                             cut_edge_ids=list(payload["cut_edge_ids"]),
-                            flow=dict(map(tuple, payload["flow"])))
+                            flow=_flow_from_wire(payload["flow"]))
     if kind == "girth":
         return GirthResult(value=payload["value"],
                            cycle_edge_ids=list(payload["cycle_edge_ids"]),
@@ -232,10 +303,48 @@ def result_from_wire(payload):
     raise ProtocolError(f"unknown result kind {kind!r}")
 
 
+class BodyMemo:
+    """What a pool worker ships for a :class:`~repro.server.app.
+    QueryServer` job: the :class:`Body` of a flow, cut or girth result,
+    so the server splices text instead of re-encoding an unpickled
+    object.
+
+    Bodies are memoized by result identity, the ``maxsize`` most recent
+    kept (the catalog's ``results.maxsize``): a warm hit serves the
+    very object held in the catalog's result cache, so a repeat ships
+    text built once.  Each entry holds its result, so the id cannot be
+    reused while the entry lives.  A distance or ``None`` ships as
+    itself — it pickles smaller than its text, and the frame encoder
+    writes it directly.  Not thread-safe: each worker owns one, and the
+    in-process pool calls it under its lock.
+    """
+
+    def __init__(self, maxsize):
+        self.maxsize = maxsize
+        self._bodies = OrderedDict()    # id(result) -> (result, Body)
+
+    def ship(self, result):
+        if result is None or isinstance(result, (int, float)):
+            return result
+        key = id(result)
+        hit = self._bodies.get(key)
+        if hit is not None:
+            self._bodies.move_to_end(key)
+            return hit[1]
+        body = Body(_ENCODER.encode(result_to_wire(result)))
+        self._bodies[key] = (result, body)
+        if len(self._bodies) > self.maxsize:
+            self._bodies.popitem(last=False)
+        return body
+
+
 def query_result_to_wire(r):
-    """The response-envelope fields of one served query."""
+    """The response-envelope fields of one served query (its result
+    object, or the :class:`Body` a worker already encoded)."""
+    result = r.result if type(r.result) is Body \
+        else result_to_wire(r.result)
     return {"backend": r.backend, "warm": bool(r.warm),
-            "seconds": r.seconds, "result": result_to_wire(r.result)}
+            "seconds": r.seconds, "result": result}
 
 
 def query_result_from_wire(query, payload):
@@ -331,6 +440,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "QUERY_KINDS",
     "VERBS",
+    "Body",
     "encode_frame",
     "decode_frame",
     "check_version",
@@ -338,6 +448,7 @@ __all__ = [
     "query_from_wire",
     "result_to_wire",
     "result_from_wire",
+    "BodyMemo",
     "query_result_to_wire",
     "query_result_from_wire",
     "graph_to_wire",

@@ -411,6 +411,28 @@ def test_workers0_pool_spans_nest_without_shipping():
         obs.reset()
 
 
+def test_spliced_response_frames_count_in_wire_metrics():
+    # query and batch responses splice the body the pool encoded; the
+    # spliced frames must still feed the wire encode counters
+    obs.enable()
+    pool = WarmWorkerPool(workers=0)
+    pool.register("g", make_grid(3, 3))
+    pool.start()
+    server = QueryServer(pool).start_background()
+    try:
+        with ServiceClient(*server.address, timeout=60) as client:
+            client.query(FlowQuery("g", 0, 8))
+            client.run([CutQuery("g", 0, 8), DistanceQuery("g", 0, 1)])
+        snap = obs.registry().snapshot()
+        # two requests encoded by the client, two responses by the server
+        assert snap["wire.frames_encoded"]["value"] == 4
+        assert snap["wire.encode_seconds"]["count"] == 4
+    finally:
+        server.shutdown()
+        pool.close()
+        obs.reset()
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------

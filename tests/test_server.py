@@ -2,6 +2,7 @@
 round-trips, catalog snapshot handoff, the pre-warmed worker pool, and
 socket-server end-to-end bit-parity with in-process serving."""
 
+import json
 import math
 import os
 import pickle
@@ -13,6 +14,8 @@ import time
 import pytest
 
 from repro.core import max_st_flow
+from repro.core.maxflow import MaxFlowResult
+from repro.core.mincut import MinCutResult
 from repro.errors import (
     NegativeCycleError,
     ProtocolError,
@@ -91,11 +94,29 @@ class TestWire:
         g = make_grid()
         catalog = GraphCatalog()
         catalog.register("g", g)
-        for q in mixed_queries("g", g):
-            result = execute_query(catalog, q).result
+        results = [execute_query(catalog, q).result
+                   for q in mixed_queries("g", g)]
+        # hand-built flows: sparse and out-of-order keys go as sorted
+        # pairs, an empty flow as the empty list
+        built = [MaxFlowResult(value=3, flow=flow, probes=1,
+                               path_darts=[0, 2])
+                 for flow in ({0: 1, 2: 3}, {1: 2.5, 0: 1}, {})]
+        assert [wire.result_to_wire(r)["flow"] for r in built] \
+            == [[[0, 1], [2, 3]], [[0, 1], [1, 2.5]], []]
+        results += built
+        results.append(MinCutResult(value=1.5, source_side=[0],
+                                    cut_edge_ids=[4],
+                                    flow={3: 1.5, 1: 0}))
+        for result in results:
             payload = wire.decode_frame(
                 wire.encode_frame(wire.result_to_wire(result)))
-            assert wire.result_from_wire(payload) == result
+            back = wire.result_from_wire(payload)
+            assert back == result
+            flow = getattr(result, "flow", None)
+            if flow is not None:
+                assert list(back.flow) == sorted(flow)
+                assert [type(v) for _, v in sorted(back.flow.items())] \
+                    == [type(v) for _, v in sorted(flow.items())]
 
     def test_result_roundtrip_scalars(self):
         for value in (0, 7, 2.5, math.inf, None):
@@ -107,10 +128,22 @@ class TestWire:
     def test_flow_dict_keys_stay_ints(self):
         g = make_grid()
         res = max_st_flow(g, 0, g.n - 1, backend="engine")
-        back = wire.result_from_wire(wire.decode_frame(
-            wire.encode_frame(wire.result_to_wire(res))))
-        assert back == res
-        assert all(isinstance(k, int) for k in back.flow)
+        cut = MinCutResult(value=2.5, source_side=[0, 1],
+                           cut_edge_ids=[2], flow={0: 1, 1: 2.5, 2: -1})
+        for result in (res, cut):
+            payload = wire.result_to_wire(result)
+            # a complete 0..m-1 flow travels as the bare value list
+            assert payload["flow"] == list(result.flow.values())
+            back = wire.result_from_wire(wire.decode_frame(
+                wire.encode_frame(payload)))
+            assert back == result
+            assert all(isinstance(k, int) for k in back.flow)
+            assert [type(v) for v in back.flow.values()] \
+                == [type(v) for v in result.flow.values()]
+            # the pair form an older peer sends still decodes
+            payload["flow"] = [[k, v] for k, v in result.flow.items()]
+            assert wire.result_from_wire(wire.decode_frame(
+                wire.encode_frame(payload))) == result
 
     def test_graph_roundtrip(self):
         g = make_grid(3, 4, seed=9)
@@ -810,6 +843,76 @@ def test_cut_after_flow_served_parity(workers):
     finally:
         server.shutdown()
         server.pool.close()
+
+
+@pytest.mark.parametrize("workers", [1, 0])
+def test_served_frames_match_in_process_encoding(workers):
+    # workers=1: bodies encoded in the forked worker; workers=0: in the
+    # server's own process.  Either way a response frame carries what
+    # encoding the in-process QueryResult gives, and a repeat ships the
+    # same body bytes
+    g = make_grid()
+    queries = [FlowQuery("g", 0, g.n - 1), CutQuery("g", 0, g.n - 1),
+               GirthQuery("g"), DistanceQuery("g", 0, 3)]
+    catalog = GraphCatalog()
+    catalog.register("g", g.copy())
+    local = {q: execute_query(catalog, q) for q in queries}
+
+    def fields(payload):
+        return {k: v for k, v in payload.items()
+                if k not in ("seconds", "warm")}
+
+    def expected(q, head):
+        return fields(wire.decode_frame(wire.encode_frame(
+            dict(head, **wire.query_result_to_wire(local[q])))))
+
+    with WarmWorkerPool(workers=workers) as pool:
+        pool.register("g", g)
+        for q in queries:                     # cache every result
+            pool.submit(q).result()
+        hits = [[pool.submit(q, body=True).result().result
+                 for q in queries] for _ in range(2)]
+        # flow, cut and girth ship encoded, the distance as itself
+        assert [b.text for b in hits[0][:3]] \
+            == [b.text for b in hits[1][:3]]
+        assert hits[0][3] == hits[1][3] == local[queries[3]].result
+        if workers == 0:                      # the memoized object itself
+            assert all(a is b for a, b in zip(hits[0][:3], hits[1][:3]))
+        server = QueryServer(pool).start_background()
+        try:
+            with socket.create_connection(server.address,
+                                          timeout=60) as sock:
+                f = sock.makefile("rwb")
+
+                def call(frame):
+                    f.write(wire.encode_frame(
+                        dict(frame, v=PROTOCOL_VERSION)))
+                    f.flush()
+                    return f.readline()
+
+                for i, q in enumerate(queries):
+                    lines = [call({"id": i, "verb": "query",
+                                   "query": wire.query_to_wire(q)})
+                             for _ in range(2)]
+                    head = {"v": PROTOCOL_VERSION, "id": i, "ok": True}
+                    assert fields(wire.decode_frame(lines[0])) \
+                        == expected(q, head)
+                    body = json.dumps(wire.result_to_wire(local[q].result),
+                                      separators=(",", ":")).encode()
+                    assert [ln[ln.index(b'"result":') + 9:] for ln in lines] \
+                        == [body + b"}\n"] * 2
+                bad = FlowQuery("missing", 0, 1)
+                response = wire.decode_frame(call({
+                    "id": 9, "verb": "batch",
+                    "queries": [wire.query_to_wire(q)
+                                for q in queries + [bad]]}))
+                entries = response["results"]
+                assert [fields(e) for e in entries[:-1]] \
+                    == [expected(q, {"ok": True}) for q in queries]
+                assert entries[-1]["ok"] is False
+                assert entries[-1]["error"]["type"] == "ServiceError"
+        finally:
+            server.shutdown()
 
 
 def test_serve_helper_builds_and_serves():
