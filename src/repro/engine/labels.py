@@ -5,10 +5,15 @@ round-audited CONGEST simulation: per bag it rebuilds dict-keyed dual
 arcs, runs hashable-node SPFA, and derives every child distance by
 *decoding* the child's label chain — faithful to the protocol, and by
 far the most expensive cold path left in the serving layer.  This
-module is its centralized fast path.  It produces **bit-identical
-labels** (the same :class:`~repro.labeling.labels.Label` chains, the
-same dict contents, the same :class:`~repro.errors.NegativeCycleError`
-messages and ``where`` sites) from three compiled ingredients:
+module is its centralized fast path.  On integral lengths it produces
+**bit-identical labels** (the same :class:`~repro.labeling.labels.Label`
+chains, the same dict contents, the same
+:class:`~repro.errors.NegativeCycleError` messages and ``where``
+sites).  On non-integral float lengths the two backends may differ in
+the last bit, and an integral float sum comes back as an int here
+(legacy keeps ``1.0``): the legacy decodes child distances as sums of
+label entries, which associates path sums differently.  There are
+three compiled ingredients:
 
 * :class:`CompiledBagSlice` — the dual of one bag as a CSR sub-array
   sliced out of the global topology: local int node/dart ids (with the
@@ -29,11 +34,17 @@ messages and ``where`` sites) from three compiled ingredients:
   child's slice anchored at ``F_X ∩ c`` and reads the clique lengths
   and every node-to-anchor distance straight out of the two matrices.
 
-* the DDG relaxation — per part over the assembled clique/S_X/zero
-  arcs: a pooled :class:`~repro.engine.dijkstra.DijkstraWorkspace`
-  (O(1) re-init via generation stamps) when every arc is nonnegative,
-  and an int-indexed SPFA with the legacy relaxation-count detection
-  when mixed signs force Bellman–Ford.
+* the DDG relaxation.  With numpy, the clique/S_X/zero arcs are
+  assembled as one dense ``P x P`` matrix (parallel arcs min-reduced)
+  and, when every arc is nonnegative, relaxed for all parts at once by
+  min-plus Bellman–Ford passes over blocks of sources; each candidate
+  is the left-fold ``dist(u) + len`` of a Dijkstra, so the distances
+  equal the per-part Dijkstra rows exactly.  The ``F_X`` part-group
+  minima are ``np.minimum.reduceat`` over the contiguous groups.
+  Without numpy, the same DDG runs one Dijkstra per part on a pooled
+  :class:`~repro.engine.dijkstra.DijkstraWorkspace` (O(1) re-init via
+  generation stamps).  Either way, mixed signs fall back to an
+  int-indexed SPFA with the legacy relaxation-count detection.
 
 Compilation is topology-only and cached in the process-wide artifact
 cache keyed by the graph's topology token (:func:`compile_labeling_
@@ -87,18 +98,30 @@ from repro.planar.graph import rev
 INF = math.inf
 
 
-def _row_scalars(row):
-    """One distance row -> Python scalars with legacy types: ints where
-    integral (the common case, converted wholesale), ``math.inf`` where
-    unreached — the row-level form of
+#: cap on the ``(block, P, P)`` float64 temporary of one min-plus DDG
+#: pass (2**19 elements = 4 MB); bigger DDGs relax a source block at a
+#: time
+_DDG_BLOCK_ELEMS = 1 << 19
+
+
+def _matrix_scalars(m):
+    """A distance matrix -> list of rows of Python scalars with legacy
+    types: ints where integral (the common case, converted wholesale in
+    one call), ``math.inf`` where unreached — the matrix form of
     :func:`repro.engine.workspace._as_scalar`."""
-    if _np is not None and isinstance(row, _np.ndarray):
-        if _np.isfinite(row).all() and (row == _np.rint(row)).all():
-            return row.astype(_np.int64).tolist()
-        return [x if x == INF or x == -INF
-                else (int(x) if x.is_integer() else x)
-                for x in row.tolist()]
-    return [_as_scalar(x) for x in row]
+    if _np is not None and isinstance(m, _np.ndarray):
+        if (_np.isfinite(m).all() and (m == _np.rint(m)).all()
+                and (_np.abs(m) < 2.0 ** 63).all()):
+            return m.astype(_np.int64).tolist()
+        return [[_as_scalar(x) for x in row] for row in m.tolist()]
+    return [[_as_scalar(x) for x in row] for row in m]
+
+
+def _transpose(m):
+    """Transpose of a distance matrix (ndarray, or list of rows)."""
+    if _np is not None and isinstance(m, _np.ndarray):
+        return m.T
+    return [list(col) for col in zip(*m)]
 
 
 class CompiledBagSlice:
@@ -214,7 +237,7 @@ class _ChildRec:
     three ways (face id, child-slice node, DDG part)."""
 
     __slots__ = ("bag_id", "cf_faces", "cf_local", "cf_part",
-                 "fx_cf_pos")
+                 "fx_cf_pos", "direct")
 
     def __init__(self, bag_id, cf_faces, cf_local, cf_part, fx_cf_pos):
         self.bag_id = bag_id
@@ -224,6 +247,13 @@ class _ChildRec:
         #: j -> position of f_x[j] in cf_faces, or -1 when the face
         #: does not live in this child (the "direct distance" test)
         self.fx_cf_pos = fx_cf_pos
+        if _np is not None:
+            #: (F_X positions, anchors) of the faces living in this
+            #: child — the array form of ``fx_cf_pos >= 0``
+            js = [j for j, a in enumerate(fx_cf_pos) if a >= 0]
+            self.direct = (_np.array(js, dtype=_np.intp),
+                           _np.array([fx_cf_pos[j] for j in js],
+                                     dtype=_np.intp))
 
 
 class CompiledInternalBag:
@@ -231,7 +261,8 @@ class CompiledInternalBag:
 
     __slots__ = ("bag_id", "f_x", "node_list", "owner_pos", "owner_idx",
                  "children", "num_parts", "group_bounds", "sx_arcs",
-                 "zero_links")
+                 "zero_links", "group_starts", "group_nonempty",
+                 "sx_index", "sx_darts", "zero_index")
 
     def __init__(self, bag, dual, duals, compiled_slices, graph):
         self.bag_id = bag.bag_id
@@ -285,6 +316,9 @@ class CompiledInternalBag:
                     if p != q:
                         self.zero_links.append((p, q))
 
+        if _np is not None:
+            self._index_arrays()
+
         child_pos = {c.bag_id: i for i, c in enumerate(bag.children)}
         node_list = sorted(dual.nodes)
         self.node_list = node_list
@@ -307,6 +341,26 @@ class CompiledInternalBag:
                     compiled_slices[c.bag_id].index[f])
         self.owner_pos = owner_pos
         self.owner_idx = owner_idx
+
+
+    def _index_arrays(self):
+        """Array forms of the DDG structures for the vectorized stage:
+        the starts of the nonempty part groups (the ``reduceat``
+        offsets — an empty group spans nothing between two of them),
+        the F_X positions those groups belong to, and the ``S_X`` /
+        zero-link endpoints as index arrays."""
+        nonempty = [j for j, (s, e) in enumerate(self.group_bounds)
+                    if e > s]
+        self.group_starts = _np.array(
+            [self.group_bounds[j][0] for j in nonempty], dtype=_np.intp)
+        self.group_nonempty = _np.array(nonempty, dtype=_np.intp)
+        self.sx_index = (
+            _np.array([p for p, _, _ in self.sx_arcs], dtype=_np.intp),
+            _np.array([q for _, q, _ in self.sx_arcs], dtype=_np.intp))
+        self.sx_darts = [d for _, _, d in self.sx_arcs]
+        self.zero_index = (
+            _np.array([p for p, _ in self.zero_links], dtype=_np.intp),
+            _np.array([q for _, q in self.zero_links], dtype=_np.intp))
 
 
 class CompiledLabelingBags:
@@ -413,8 +467,9 @@ _REUSED = object()
 # builder
 # ----------------------------------------------------------------------
 def build_dual_labels_engine(labeling, compiled=None):
-    """Fill ``labeling._labels`` with bit-identical Theorem 2.1 labels
-    using the compiled bag arrays (see the module docstring).
+    """Fill ``labeling._labels`` with the Theorem 2.1 labels (equal
+    to the legacy backend's bit for bit on integral lengths) using the
+    compiled bag arrays (see the module docstring).
 
     When the labeling carries a repair-state dict
     (``labeling._repair`` is not ``None`` — see
@@ -427,29 +482,16 @@ def build_dual_labels_engine(labeling, compiled=None):
     lengths = labeling.lengths
     labels = labeling._labels
     state = getattr(labeling, "_repair", None)
-    if not obs.enabled():
+    timed = obs.enabled()
+    with obs.span("labeling.build",
+                  bags=sum(len(lv) for lv in compiled.levels)):
         for level in compiled.levels:
             for bag_id, is_leaf in level:
                 if is_leaf:
-                    _label_leaf(compiled, bag_id, lengths, labels)
+                    _label_leaf(compiled, bag_id, lengths, labels, timed)
                 else:
                     _label_internal(compiled, bag_id, lengths, labels,
-                                    state=state)
-        return labels
-    bags = sum(len(lv) for lv in compiled.levels)
-    with obs.span("labeling.build", bags=bags):
-        for level in compiled.levels:
-            for bag_id, is_leaf in level:
-                t0 = time.perf_counter()
-                if is_leaf:
-                    _label_leaf(compiled, bag_id, lengths, labels)
-                    obs.observe("labeling.leaf_apsp_seconds",
-                                time.perf_counter() - t0)
-                else:
-                    _label_internal(compiled, bag_id, lengths, labels,
-                                    state=state)
-                    obs.observe("labeling.ddg_relax_seconds",
-                                time.perf_counter() - t0)
+                                    state=state, timed=timed)
     return labels
 
 
@@ -498,46 +540,29 @@ def repair_dual_labels_engine(labeling, changed, compiled=None,
              "total_bags": sum(len(lv) for lv in compiled.levels),
              "repaired_leaves": 0, "repaired_internal": 0,
              "sssp_children": 0, "reused_children": 0}
-    if not obs.enabled():
-        for level in compiled.levels:
-            for bag_id, is_leaf in level:
-                if bag_id not in dirty:
-                    continue
-                if is_leaf:
-                    _label_leaf(compiled, bag_id, lengths, labels)
-                    stats["repaired_leaves"] += 1
-                else:
-                    _label_internal(compiled, bag_id, lengths, labels,
-                                    state=state, dirty=dirty,
-                                    stats=stats)
-                    stats["repaired_internal"] += 1
-        return stats
+    timed = obs.enabled()
     with obs.span("labeling.repair", changed=len(changed),
                   dirty=len(dirty)):
         for level in compiled.levels:
             for bag_id, is_leaf in level:
                 if bag_id not in dirty:
                     continue
-                t0 = time.perf_counter()
                 if is_leaf:
-                    _label_leaf(compiled, bag_id, lengths, labels)
+                    _label_leaf(compiled, bag_id, lengths, labels, timed)
                     stats["repaired_leaves"] += 1
-                    obs.observe("labeling.leaf_apsp_seconds",
-                                time.perf_counter() - t0)
                 else:
                     _label_internal(compiled, bag_id, lengths, labels,
                                     state=state, dirty=dirty,
-                                    stats=stats)
+                                    stats=stats, timed=timed)
                     stats["repaired_internal"] += 1
-                    obs.observe("labeling.ddg_relax_seconds",
-                                time.perf_counter() - t0)
     return stats
 
 
-def _label_leaf(compiled, bag_id, lengths, labels):
+def _label_leaf(compiled, bag_id, lengths, labels, timed=False):
     """Leaf bag: whole-bag APSP in one batched Bellman–Ford call."""
     from repro.labeling.labels import Label, LabelEntry
 
+    t0 = time.perf_counter() if timed else 0.0
     sl = compiled.slices[bag_id]
     nodes = sl.nodes
     k = len(nodes)
@@ -549,39 +574,73 @@ def _label_leaf(compiled, bag_id, lengths, labels):
         raise NegativeCycleError(
             f"negative cycle in leaf bag {bag_id}",
             where=("leaf", bag_id))
-    # rows[v][h] = dist(nodes[v] -> nodes[h]); dist_from is the
-    # transpose read of the same matrix
-    scal = [_row_scalars(row) for row in rows]
+    # rows[v][h] = dist(nodes[v] -> nodes[h]); dist_from reads the
+    # transpose of the same matrix
+    to_rows = _matrix_scalars(rows)
+    from_rows = _matrix_scalars(_transpose(rows))
     for vi, v in enumerate(nodes):
-        row = scal[vi]
         entry = LabelEntry(
             bag_id=bag_id, node=v, is_leaf=True,
-            dist_to={h: row[hi] for hi, h in enumerate(nodes)},
-            dist_from={h: scal[hi][vi] for hi, h in enumerate(nodes)})
+            dist_to=dict(zip(nodes, to_rows[vi])),
+            dist_from=dict(zip(nodes, from_rows[vi])))
         labels[(bag_id, v)] = Label(node=v, entries=[entry])
+    if timed:
+        obs.observe("labeling.leaf_apsp_seconds",
+                    time.perf_counter() - t0)
 
 
-def _ddg_distances(compiled, rec, arcs, has_negative):
-    """All-parts distance matrix over the assembled DDG arcs.
+def _ddg_arcs(rec, fwd, lengths):
+    """The assembled DDG arcs ``(tail part, head part, length)`` in
+    legacy order — child cliques, ``S_X`` arcs, zero links — and
+    whether any is negative."""
+    arcs = []
+    has_negative = False
+    for ci, child in enumerate(rec.children):
+        f_rows = fwd[ci]
+        if f_rows is None:
+            continue
+        cf_local = child.cf_local
+        cf_part = child.cf_part
+        for a1 in range(len(cf_local)):
+            row = f_rows[a1]
+            p = cf_part[a1]
+            for a2 in range(len(cf_local)):
+                if a1 == a2:
+                    continue
+                dd = row[cf_local[a2]]
+                if dd < INF:
+                    arcs.append((p, cf_part[a2], dd))
+                    if dd < 0:
+                        has_negative = True
+    for (p, q, d) in rec.sx_arcs:
+        ln = lengths[d]
+        arcs.append((p, q, ln))
+        if ln < 0:
+            has_negative = True
+    for (p, q) in rec.zero_links:
+        arcs.append((p, q, 0))
+    return arcs, has_negative
 
-    Nonnegative arcs run on the pooled Dijkstra workspace; mixed signs
-    fall back to int-indexed SPFA with the legacy relaxation-count
-    negative-cycle detection (limit ``P + 1``, as in
-    :func:`repro.labeling.scheme._spfa`).
-    """
+
+def _ddg_dijkstra(compiled, rec, arcs):
+    """All-parts distance rows over nonnegative DDG arcs, one Dijkstra
+    per part on the pooled workspace (the numpy-free kernel)."""
+    ws = compiled.ddg_workspace
+    ws.load_arcs([(i, t, h, ln) for i, (t, h, ln) in enumerate(arcs)
+                  if ln < INF])
     p_count = rec.num_parts
-    if p_count == 0:
-        return []
-    if not has_negative:
-        ws = compiled.ddg_workspace
-        ws.load_arcs([(i, t, h, ln) for i, (t, h, ln) in enumerate(arcs)
-                      if ln < INF])
-        ddg = []
-        for p in range(p_count):
-            ws.sssp(p)
-            ddg.append([ws.distance(q) for q in range(p_count)])
-        return ddg
+    ddg = []
+    for p in range(p_count):
+        ws.sssp(p)
+        ddg.append([ws.distance(q) for q in range(p_count)])
+    return ddg
 
+
+def _ddg_spfa(rec, arcs):
+    """All-parts distance rows over mixed-sign DDG arcs: int-indexed
+    SPFA with the legacy relaxation-count negative-cycle detection
+    (limit ``P + 1``, as in :func:`repro.labeling.scheme._spfa`)."""
+    p_count = rec.num_parts
     adj = [[] for _ in range(p_count)]
     for (t, h, ln) in arcs:
         if ln < INF:
@@ -615,6 +674,122 @@ def _ddg_distances(compiled, rec, arcs, has_negative):
     return ddg
 
 
+def _ddg_matrix(rec, fwd, lengths):
+    """The DDG of ``rec`` as one dense ``P x P`` arc-length matrix
+    (``inf`` = no arc): child cliques copied out of the anchored forward
+    matrices, then ``S_X`` arcs and zero links, parallel arcs
+    min-reduced (never summed)."""
+    p_count = rec.num_parts
+    w = _np.full((p_count, p_count), INF)
+    for ci, child in enumerate(rec.children):
+        f_rows = fwd[ci]
+        if f_rows is None:
+            continue
+        # the parts of different children are disjoint, so each clique
+        # block lands on arcs no other clique touches
+        clique = f_rows[:, child.cf_local]
+        _np.fill_diagonal(clique, INF)
+        w[_np.ix_(child.cf_part, child.cf_part)] = clique
+    if rec.sx_darts:
+        _np.minimum.at(w, rec.sx_index,
+                       _np.array([lengths[d] for d in rec.sx_darts],
+                                 dtype=_np.float64))
+    zp, zq = rec.zero_index
+    w[zp, zq] = _np.minimum(w[zp, zq], 0.0)
+    return w
+
+
+def _ddg_relax(w):
+    """All-parts distance matrix over the nonnegative DDG arc matrix
+    ``w``.
+
+    Min-plus Bellman–Ford passes ``D = min(D, min_u D[:, u] + W[u, :])``
+    over a block of sources at a time, so the ``(block, P, P)``
+    temporary holds at most :data:`_DDG_BLOCK_ELEMS` elements (or one
+    source's ``P x P`` when that is more).  Every candidate is
+    the left-fold ``dist(u) + len(u, v)`` a per-source Dijkstra forms,
+    so the fixpoint (the minimum over walks of those left-folds) equals
+    the Dijkstra rows exactly, for non-integral floats too —
+    Floyd–Warshall or min-plus squaring would re-associate the sums.
+    Rows are independent, so a row with no improvement in a pass has
+    converged and leaves the active set.
+    """
+    p_count = w.shape[0]
+    # the first pass from the zero diagonal reaches exactly the out-arcs
+    dist = w.copy()
+    _np.fill_diagonal(dist, 0.0)
+    if p_count == 0:
+        return dist
+    block = max(1, min(p_count, _DDG_BLOCK_ELEMS // (p_count * p_count)))
+    buf = _np.empty((block, p_count, p_count))
+    for lo in range(0, p_count, block):
+        rows = dist[lo:lo + block]
+        active = _np.arange(rows.shape[0])
+        while active.size:
+            sub = rows[active]
+            tmp = buf[:active.size]
+            _np.add(sub[:, :, None], w, out=tmp)
+            cand = tmp.min(axis=1)
+            improved = (cand < sub).any(axis=1)
+            active = active[improved]
+            rows[active] = _np.minimum(sub[improved], cand[improved])
+    return dist
+
+
+def _group_min_np(rec, m, axis):
+    """Min of ``m`` over each contiguous ``F_X`` part group along
+    ``axis`` — one row/column per ``F_X`` face, ``inf`` for a face with
+    no part (``reduceat`` alone would return an element there)."""
+    nfx = len(rec.f_x)
+    ne = rec.group_nonempty
+    if nfx and len(ne) == nfx:
+        return _np.minimum.reduceat(m, rec.group_starts, axis=axis)
+    shape = list(m.shape)
+    shape[axis] = nfx
+    out = _np.full(shape, INF)
+    if len(ne):
+        idx = [slice(None)] * m.ndim
+        idx[axis] = ne
+        out[tuple(idx)] = _np.minimum.reduceat(m, rec.group_starts,
+                                               axis=axis)
+    return out
+
+
+def _ddg_stage_np(rec, fwd, lengths, timed):
+    """The DDG stage on arrays: ``(fd, self_dist, m_out_c, m_in_c)`` —
+    the ``F_X`` face-to-face matrix (zero diagonal), the per-face
+    self-distances of the negative-cycle check, and per child the
+    boundary rows ``m_out[a][j] = min_{q in parts(f_x[j])}
+    ddg[part(cf[a])][q]`` and ``m_in[a][j] = min_q ddg[q][part(cf[a])]``
+    (``None`` for a child with no ``F_X`` face)."""
+    w = _ddg_matrix(rec, fwd, lengths)
+    negative = w.size > 0 and w.min() < 0
+    # mixed signs: the legacy SPFA over the arc list, and its raise site
+    arcs = _ddg_arcs(rec, fwd, lengths)[0] if negative else None
+    t0 = time.perf_counter() if timed else 0.0
+    if negative:
+        ddg = _np.array(_ddg_spfa(rec, arcs), dtype=_np.float64)
+    else:
+        ddg = _ddg_relax(w)
+    if timed:
+        obs.observe("labeling.ddg_relax_seconds", time.perf_counter() - t0)
+    row_g = _group_min_np(rec, ddg, axis=1)   # part x face
+    col_g = _group_min_np(rec, ddg, axis=0)   # face x part
+    fd = _group_min_np(rec, row_g, axis=0)
+    self_dist = fd.diagonal().copy()
+    _np.fill_diagonal(fd, 0.0)
+    m_out_c = []
+    m_in_c = []
+    for ci, child in enumerate(rec.children):
+        if fwd[ci] is None:
+            m_out_c.append(None)
+            m_in_c.append(None)
+        else:
+            m_out_c.append(row_g[child.cf_part])
+            m_in_c.append(col_g[:, child.cf_part].T)
+    return fd, self_dist, m_out_c, m_in_c
+
+
 def _group_min(row, bounds):
     """min over one contiguous part group of a distance row."""
     start, end = bounds
@@ -625,8 +800,64 @@ def _group_min(row, bounds):
     return best
 
 
+def _ddg_stage_py(compiled, rec, fwd, lengths, timed):
+    """The numpy-free DDG stage; same contract as
+    :func:`_ddg_stage_np`, on lists."""
+    arcs, has_negative = _ddg_arcs(rec, fwd, lengths)
+    t0 = time.perf_counter() if timed else 0.0
+    if has_negative:
+        ddg = _ddg_spfa(rec, arcs)
+    else:
+        ddg = _ddg_dijkstra(compiled, rec, arcs)
+    if timed:
+        obs.observe("labeling.ddg_relax_seconds", time.perf_counter() - t0)
+
+    nfx = len(rec.f_x)
+    bounds = rec.group_bounds
+    fd = [[INF] * nfx for _ in range(nfx)]
+    self_dist = [INF] * nfx
+    for i in range(nfx):
+        si, ei = bounds[i]
+        for j in range(nfx):
+            best = INF
+            for p in range(si, ei):
+                b = _group_min(ddg[p], bounds[j])
+                if b < best:
+                    best = b
+            if i == j:
+                self_dist[i] = best
+                fd[i][j] = 0
+            else:
+                fd[i][j] = best
+
+    m_out_c = []
+    m_in_c = []
+    for ci, child in enumerate(rec.children):
+        if fwd[ci] is None:
+            m_out_c.append(None)
+            m_in_c.append(None)
+            continue
+        ncf = len(child.cf_local)
+        m_out = [[INF] * nfx for _ in range(ncf)]
+        m_in = [[INF] * nfx for _ in range(ncf)]
+        for a in range(ncf):
+            p = child.cf_part[a]
+            row = ddg[p]
+            for j in range(nfx):
+                m_out[a][j] = _group_min(row, bounds[j])
+                sj, ej = bounds[j]
+                best = INF
+                for q in range(sj, ej):
+                    if ddg[q][p] < best:
+                        best = ddg[q][p]
+                m_in[a][j] = best
+        m_out_c.append(m_out)
+        m_in_c.append(m_in)
+    return fd, self_dist, m_out_c, m_in_c
+
+
 def _label_internal(compiled, bag_id, lengths, labels, state=None,
-                    dirty=None, stats=None):
+                    dirty=None, stats=None, timed=False):
     from repro.labeling.labels import Label, LabelEntry
 
     rec = compiled.internal[bag_id]
@@ -669,81 +900,36 @@ def _label_internal(compiled, bag_id, lengths, labels, state=None,
         rep.fwd = fwd
         rep.back = back
 
-    # ---- assemble the DDG arcs ---------------------------------------
-    arcs = []
-    has_negative = False
-    for ci, child in enumerate(rec.children):
-        f_rows = fwd[ci]
-        if f_rows is None:
-            continue
-        cf_local = child.cf_local
-        cf_part = child.cf_part
-        for a1 in range(len(cf_local)):
-            row = f_rows[a1]
-            p = cf_part[a1]
-            for a2 in range(len(cf_local)):
-                if a1 == a2:
-                    continue
-                dd = row[cf_local[a2]]
-                if dd < INF:
-                    arcs.append((p, cf_part[a2], dd))
-                    if dd < 0:
-                        has_negative = True
-    for (p, q, d) in rec.sx_arcs:
-        ln = lengths[d]
-        arcs.append((p, q, ln))
-        if ln < 0:
-            has_negative = True
-    for (p, q) in rec.zero_links:
-        arcs.append((p, q, 0))
+    # ---- DDG: assemble, relax, F_X part-group minima -----------------
+    if _np is not None:
+        fd, self_dist, m_out_c, m_in_c = _ddg_stage_np(rec, fwd, lengths,
+                                                       timed)
+    else:
+        fd, self_dist, m_out_c, m_in_c = _ddg_stage_py(
+            compiled, rec, fwd, lengths, timed)
 
-    ddg = _ddg_distances(compiled, rec, arcs, has_negative)
-
-    # ---- F_X face-to-face distances + negative-cycle face check ------
-    bounds = rec.group_bounds
-    fd = [[INF] * nfx for _ in range(nfx)]
-    self_dist = [INF] * nfx
-    for i in range(nfx):
-        si, ei = bounds[i]
-        for j in range(nfx):
-            best = INF
-            for p in range(si, ei):
-                b = _group_min(ddg[p], bounds[j])
-                if b < best:
-                    best = b
-            if i == j:
-                self_dist[i] = best
-                fd[i][j] = 0
-            else:
-                fd[i][j] = best
+    # ---- negative-cycle face check + F_X labels ----------------------
     for j, f in enumerate(f_x):
         if self_dist[j] < 0:
             raise NegativeCycleError(
                 f"negative cycle through F_X node {f} of bag "
                 f"{bag_id}", where=("ddg", bag_id))
-
-    # ---- F_X labels --------------------------------------------------
+    fd_to = _matrix_scalars(fd)
+    fd_from = _matrix_scalars(_transpose(fd))
     for j, f in enumerate(f_x):
-        entry = LabelEntry(
-            bag_id=bag_id, node=f, is_leaf=False,
-            dist_to={h: _as_scalar(fd[j][jh])
-                     for jh, h in enumerate(f_x)},
-            dist_from={h: _as_scalar(fd[jh][j])
-                       for jh, h in enumerate(f_x)})
+        entry = LabelEntry(bag_id=bag_id, node=f, is_leaf=False,
+                           dist_to=dict(zip(f_x, fd_to[j])),
+                           dist_from=dict(zip(f_x, fd_from[j])))
         labels[(bag_id, f)] = Label(node=f, entries=[entry])
 
     # ---- per-child node-to-F_X distance matrices ---------------------
-    if _np is not None and rec.num_parts:
-        ddg_np = _np.asarray(ddg, dtype=_np.float64)
-    else:
-        ddg_np = None
     d_out_c = []
     d_in_c = []
     viol_c = []
-    m_out_c = []
-    m_in_c = []
     for ci, child in enumerate(rec.children):
-        if fwd[ci] is None:
+        m_out = m_out_c[ci]
+        m_in = m_in_c[ci]
+        if m_out is None:
             # no F_X face lives in this child: this bag's entries are
             # all-inf regardless of weights, but the chained child
             # entries still change when the child is dirty
@@ -751,54 +937,39 @@ def _label_internal(compiled, bag_id, lengths, labels, state=None,
             d_out_c.append(_REUSED if keep else None)
             d_in_c.append(None)
             viol_c.append(None)
-            m_out_c.append(None)
-            m_in_c.append(None)
             continue
+        if repairing and child.bag_id not in dirty:
+            if _np is not None:
+                same = (_np.array_equal(old_m_out[ci], m_out)
+                        and _np.array_equal(old_m_in[ci], m_in))
+            else:
+                same = old_m_out[ci] == m_out and old_m_in[ci] == m_in
+            if same:
+                # clean child + unchanged boundary rows: every node
+                # label this child owns is a pure function of (fwd,
+                # back, m_out, m_in), all unchanged — keep the stored
+                # labels (they also passed the previous build's
+                # negative-cycle check, so a full rebuild could not
+                # raise at any of them)
+                d_out_c.append(_REUSED)
+                d_in_c.append(None)
+                viol_c.append(None)
+                continue
         ncf = len(child.cf_local)
-        # m_out[a][j] = min_{q in parts(f_x[j])} ddg[part(cf[a])][q]
-        # m_in[a][j]  = min_{q in parts(f_x[j])} ddg[q][part(cf[a])]
-        m_out = [[INF] * nfx for _ in range(ncf)]
-        m_in = [[INF] * nfx for _ in range(ncf)]
-        for a in range(ncf):
-            p = child.cf_part[a]
-            row = ddg[p]
-            for j in range(nfx):
-                m_out[a][j] = _group_min(row, bounds[j])
-                sj, ej = bounds[j]
-                best = INF
-                for q in range(sj, ej):
-                    if ddg[q][p] < best:
-                        best = ddg[q][p]
-                m_in[a][j] = best
-        m_out_c.append(m_out)
-        m_in_c.append(m_in)
-        if (repairing and child.bag_id not in dirty
-                and old_m_out[ci] == m_out and old_m_in[ci] == m_in):
-            # clean child + unchanged boundary rows: every node label
-            # this child owns is a pure function of (fwd, back, m_out,
-            # m_in), all unchanged — keep the stored labels (they also
-            # passed the previous build's negative-cycle check, so a
-            # full rebuild could not raise at any of them)
-            d_out_c.append(_REUSED)
-            d_in_c.append(None)
-            viol_c.append(None)
-            continue
-        if ddg_np is not None:
-            x_out = _np.asarray(back[ci]).T    # node x a: d_c(node->cf[a])
-            x_in = _np.asarray(fwd[ci]).T      # node x a: d_c(cf[a]->node)
-            mo = _np.asarray(m_out)
-            mi = _np.asarray(m_in)
+        if _np is not None:
+            x_out = back[ci].T    # node x a: d_c(node -> cf[a])
+            x_in = fwd[ci].T      # node x a: d_c(cf[a] -> node)
             n_c = x_out.shape[0]
-            do = _np.empty((n_c, nfx), dtype=_np.float64)
-            di = _np.empty((n_c, nfx), dtype=_np.float64)
-            for j in range(nfx):
-                do[:, j] = (x_out + mo[:, j]).min(axis=1)
-                di[:, j] = (x_in + mi[:, j]).min(axis=1)
-                a = child.fx_cf_pos[j]
-                if a >= 0:  # f_x[j] lives in this child: direct distance
-                    _np.minimum(do[:, j], x_out[:, a], out=do[:, j])
-                    _np.minimum(di[:, j], x_in[:, a], out=di[:, j])
-            viol = ((do + di) < 0).any(axis=1)
+            do = _np.full((n_c, nfx), INF)
+            di = _np.full((n_c, nfx), INF)
+            for a in range(ncf):
+                _np.minimum(do, x_out[:, a, None] + m_out[a], out=do)
+                _np.minimum(di, x_in[:, a, None] + m_in[a], out=di)
+            # f_x[j] living in this child at anchor a: direct distance
+            js, anchors = child.direct
+            do[:, js] = _np.minimum(do[:, js], x_out[:, anchors])
+            di[:, js] = _np.minimum(di[:, js], x_in[:, anchors])
+            viol = ((do + di) < 0).any(axis=1).tolist()
         else:
             n_c = len(compiled.slices[child.bag_id].nodes)
             do = [[INF] * nfx for _ in range(n_c)]
@@ -829,8 +1000,8 @@ def _label_internal(compiled, bag_id, lengths, labels, state=None,
                     row_i[j] = best_i
                     if best_o + best_i < 0:
                         viol[node] = True
-        d_out_c.append(do)
-        d_in_c.append(di)
+        d_out_c.append(_matrix_scalars(do))
+        d_in_c.append(_matrix_scalars(di))
         viol_c.append(viol)
     if rep is not None:
         rep.m_out = m_out_c
@@ -858,11 +1029,8 @@ def _label_internal(compiled, bag_id, lengths, labels, state=None,
                 raise NegativeCycleError(
                     f"negative cycle through node {f} of bag "
                     f"{bag_id}", where=("node", bag_id))
-            di = d_in_c[pos]
-            row_o = _row_scalars(do[r])
-            row_i = _row_scalars(di[r])
-            d_to = dict(zip(f_x, row_o))
-            d_from = dict(zip(f_x, row_i))
+            d_to = dict(zip(f_x, do[r]))
+            d_from = dict(zip(f_x, d_in_c[pos][r]))
         entry = LabelEntry(bag_id=bag_id, node=f, is_leaf=False,
                            dist_to=d_to, dist_from=d_from)
         child_label = labels[(child.bag_id, f)]
