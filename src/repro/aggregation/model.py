@@ -145,11 +145,6 @@ class MinorAggregationGraph:
     def active_edges(self):
         return [e for e in self.edges if e.active]
 
-    def minor_edges(self):
-        """Active edges between distinct supernodes."""
-        return [e for e in self.edges
-                if e.active and self.find(e.u) != self.find(e.v)]
-
     def reset_contractions(self):
         """Undo all contractions (used between phases of multi-pass
         algorithms; a fresh contraction step re-establishes state)."""
@@ -178,11 +173,3 @@ class MinorAggregationGraph:
             new_ids.append(eid)
         self.ma_rounds += 1  # storing the virtual graph (Lemma 4.12)
         return new_ids
-
-    def replace_with_virtual(self, node_id):
-        """Extended model: mark an existing node as virtual (its role is
-        simulated by the remaining real nodes)."""
-        if node_id not in self._node_set:
-            raise SimulationError(f"unknown node {node_id}")
-        self.virtual_nodes.add(node_id)
-        self.ma_rounds += 1

@@ -64,16 +64,6 @@ class Bag:
             out.setdefault(g.face_of[d], []).append(d)
         return out
 
-    def descendants(self):
-        out = [self]
-        stack = [self]
-        while stack:
-            b = stack.pop()
-            for c in b.children:
-                out.append(c)
-                stack.append(c)
-        return out
-
 
 @dataclass
 class BDD:

@@ -60,6 +60,7 @@ from repro.engine.labels import (
     CompiledLabelingBags,
     build_dual_labels_engine,
     compile_labeling_bags,
+    dart_length_table,
 )
 from repro.engine.workspace import FlowWorkspace, dijkstra_undirected
 
@@ -78,4 +79,5 @@ __all__ = [
     "CompiledLabelingBags",
     "compile_labeling_bags",
     "build_dual_labels_engine",
+    "dart_length_table",
 ]

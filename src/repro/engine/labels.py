@@ -22,7 +22,10 @@ three compiled ingredients:
   plus a per-slice :class:`~repro.engine.workspace.FlowWorkspace` whose
   Bellman–Ford kernels run the per-bag shortest paths.  Leaf-bag APSP
   is one :meth:`~repro.engine.workspace.FlowWorkspace.batched_sssp`
-  call with every bag node as a source.
+  call with every bag node as a source.  A build or repair turns the
+  per-dart lengths into one float64 table once
+  (:func:`dart_length_table`), and each slice load is one gather from
+  it through the slice's global dart ids.
 
 * :class:`CompiledInternalBag` — the Section 5.3 DDG of a non-leaf bag
   with int-indexed ``F_X`` faces and ``(child, face)`` node-parts: the
@@ -87,7 +90,7 @@ from repro import obs
 from repro._artifacts import shared_cache, topo_token
 from repro._compat import np as _np
 from repro.engine.dijkstra import DijkstraWorkspace
-from repro.engine.workspace import FlowWorkspace, _as_scalar
+from repro.engine.workspace import FlowWorkspace, _as_scalar, _dart_array
 from repro.errors import DecompositionError, NegativeCycleError
 from repro.planar.graph import rev
 
@@ -102,6 +105,20 @@ INF = math.inf
 #: pass (2**19 elements = 4 MB); bigger DDGs relax a source block at a
 #: time
 _DDG_BLOCK_ELEMS = 1 << 19
+
+
+def dart_length_table(lengths, num_darts):
+    """The per-dart ``lengths`` mapping in the form
+    :meth:`CompiledBagSlice.load_lengths` reads, built once per build
+    or repair: with numpy one float64 array of ``num_darts + 1``
+    entries whose last is ``inf`` (so a slice's padding dart ``-1``
+    indexes it); without numpy the mapping unchanged."""
+    if _np is None:
+        return lengths
+    table = _np.empty(num_darts + 1, dtype=_np.float64)
+    table[:num_darts] = _dart_array(lengths, num_darts)
+    table[num_darts] = INF
+    return table
 
 
 def _matrix_scalars(m):
@@ -136,13 +153,14 @@ class CompiledBagSlice:
     ``rev`` pairing: global pair ``(d, d^1)`` maps to local ``(2i,
     2i+1)``.  Faces with no dual arc in the slice get a padding
     self-loop pair (global dart ``-1``, length forced to ``inf``) so
-    every CSR segment is nonempty — a ``reduceat`` precondition.
+    every CSR segment is nonempty — a precondition of the workspace's
+    ``reduceat`` kernels.
     """
 
     __slots__ = ("bag_id", "nodes", "index", "num_faces", "num_darts",
                  "dart_global", "face_left", "dual_indptr",
                  "dual_arc_dart", "dual_arc_head", "slot_of_dart",
-                 "_workspace", "_flat")
+                 "_workspace", "_flat", "_gather")
 
     def __init__(self, dual, graph):
         self.bag_id = dual.bag.bag_id
@@ -196,7 +214,8 @@ class CompiledBagSlice:
         self.dual_arc_head = arc_head
         self.slot_of_dart = slot_of_dart
         self._workspace = None
-        self._flat = [INF] * nd
+        self._flat = [INF] * nd if _np is None else None
+        self._gather = None
 
     @property
     def workspace(self):
@@ -208,12 +227,27 @@ class CompiledBagSlice:
     def load_lengths(self, lengths, reverse=False):
         """Load per-global-dart ``lengths`` into the slice workspace.
 
+        ``lengths`` is a :func:`dart_length_table`: with numpy a float64
+        array whose last entry is the ``inf`` that the padding dart
+        ``-1`` reads, and the load is one gather through the slice's
+        global dart ids, precomposed with the kernel's in-slot order;
+        without numpy, the per-dart mapping itself.
+
         With ``reverse=True`` the loaded graph is the slice's reverse:
         the arc of local dart ``ld`` (same tail/head arrays) carries the
         length of its partner's global dart, which is exactly the
         reversed arc set because the slice contains both darts of every
         pair.
         """
+        ws = self.workspace
+        if _np is not None:
+            if self._gather is None:
+                partner = _np.arange(self.num_darts) ^ 1
+                self._gather = (
+                    ws.in_slot_index(self.dart_global),
+                    ws.in_slot_index(_np.asarray(self.dart_global)[partner]))
+            ws.load_in_slot_lengths(lengths[self._gather[reverse]])
+            return
         dg = self.dart_global
         flat = self._flat
         if reverse:
@@ -223,7 +257,7 @@ class CompiledBagSlice:
         else:
             for ld, gd in enumerate(dg):
                 flat[ld] = INF if gd < 0 else lengths[gd]
-        self.workspace.load_lengths(flat)
+        ws.load_lengths(flat)
 
     def batched_sssp(self, lengths, sources, reverse=False):
         """Distance rows (matrix or list of rows, see
@@ -479,7 +513,7 @@ def build_dual_labels_engine(labeling, compiled=None):
     """
     if compiled is None:
         compiled = compile_labeling_bags(labeling.bdd, labeling.duals)
-    lengths = labeling.lengths
+    lengths = dart_length_table(labeling.lengths, labeling.graph.num_darts)
     labels = labeling._labels
     state = getattr(labeling, "_repair", None)
     timed = obs.enabled()
@@ -533,7 +567,7 @@ def repair_dual_labels_engine(labeling, changed, compiled=None,
     if dirty is None:
         dirty = dirty_bags(compiled, changed)
     labeling.lengths.update(changed)
-    lengths = labeling.lengths
+    lengths = dart_length_table(labeling.lengths, labeling.graph.num_darts)
     labels = labeling._labels
     stats = {"changed_darts": len(changed),
              "dirty_bags": len(dirty),

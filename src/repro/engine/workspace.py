@@ -10,19 +10,33 @@ these per probe; keeping them alive, and running the relaxations as
 whole-array operations, is where the engine's speedup on large
 instances comes from.
 
-Two kernels run on the buffers:
+Three kernels run on the buffers:
 
 * :meth:`FlowWorkspace.has_negative_cycle` — feasibility probe: seeds
   *every* face at distance 0 (a virtual super-source), so a negative
   cycle anywhere in G* is found, matching the labeling's global
   detection (Lemma 5.19);
 * :meth:`FlowWorkspace.sssp` — exact distances from one dual node, used
-  for the flow assignment and for engine-backed dual SSSP.
+  for the flow assignment and for engine-backed dual SSSP;
+* :meth:`FlowWorkspace.batched_sssp` — one distance row per source, the
+  kernel of every Theorem 2.1 bag (leaf APSP and the anchored child
+  SSSPs of :mod:`repro.engine.labels`).
 
-Both have a vectorized synchronous Bellman–Ford implementation (used
+All have a vectorized synchronous Bellman–Ford implementation (used
 when numpy is importable) and a queue-based SPFA fallback in pure
 Python with the same relaxation-count negative-cycle detection as the
 legacy reference (:func:`repro.planar.dual.bellman_ford_arcs`).  The
+batched kernel relaxes on a *degree-padded in-arc layout*: the first
+``D = min(max in-degree, 4)`` in-arcs of every face as two ``(D, nf)``
+index arrays (tail face, length slot), a missing arc pointing at a
+sentinel ``inf`` slot, so a pass is one gather, one in-place add and
+one ``min`` over the ``D`` axis; the few faces wider than ``D`` (a
+bag's outer face) fold in the rest with one ``minimum.reduceat`` over
+those overflow slots only.  Every candidate is still the left-fold
+``dist[tail] + len`` and a minimum is exact however it is grouped, so
+the rows are bit-identical to a ``reduceat`` over all slots, floats
+included.  The single-source kernels keep the all-slot ``reduceat``:
+their certificates need the first tight in-arc of every face.  The
 vectorized path detects negative cycles early with an exact
 *improving-arc cycle* certificate: arcs with ``dist[tail] + len <
 dist[head]`` (all against the same distance snapshot) that close a
@@ -32,6 +46,12 @@ completeness backstop.  Distances are computed in float64, which is
 exact for the paper's polynomially-bounded integral lengths, and
 returned as Python ints wherever integral so both backends produce
 identical values.
+
+With numpy the lengths live only in the vector kernel, in its in-slot
+order (``len_in``); the padded lengths are gathered from the current
+``len_in`` on every batched call, so no writer can leave them stale.
+The per-slot list buffers of the SPFA fallback are kept only without
+numpy.
 
 Residual lengths follow Section 6.1:
 ``len_λ(d) = cap(d) − λ·[d ∈ P] + λ·[rev(d) ∈ P]``.  The workspace
@@ -55,6 +75,11 @@ from repro._compat import np as _np
 from repro.errors import NegativeCycleError
 
 INF = math.inf
+
+#: in-arc columns of the padded layout of
+#: :meth:`_VectorDualKernel.multi_sssp`; a face with more in-arcs folds
+#: the rest in as overflow
+PAD_WIDTH = 4
 
 
 class _VectorDualKernel:
@@ -88,14 +113,10 @@ class _VectorDualKernel:
         #: pointer-doubling steps covering any simple chain of faces
         self._doublings = max(1, (self.nf + 1).bit_length())
         self.len_in = np.zeros(len(arc_dart), dtype=np.float64)
+        self._pad = None
 
     def load_lengths_by_dart(self, lengths):
-        np = _np
-        if isinstance(lengths, dict):
-            flat = [lengths[d] for d in range(len(self.in_dart))]
-        else:
-            flat = lengths
-        self.len_in = np.asarray(flat, dtype=np.float64)[self.in_dart]
+        self.len_in = _dart_array(lengths, len(self.in_dart))[self.in_dart]
 
     def _parent_cycle(self, parent_slot):
         """True iff the accumulated predecessor graph certifies a
@@ -182,12 +203,53 @@ class _VectorDualKernel:
             raise NegativeCycleError(where="engine-sssp")
         return dist
 
+    def _padded_layout(self):
+        """The degree-padded in-arc layout of :meth:`multi_sssp`, built
+        once per kernel from the CSR.
+
+        ``pad_tail`` / ``pad_slot`` are ``(D, nf)`` with ``D = min(max
+        in-degree, PAD_WIDTH)``: entry ``(j, f)`` is the ``j``-th in-arc
+        of face ``f``, or, past ``f``'s in-degree, tail 0 and the
+        sentinel slot ``nslots`` whose length is ``inf``.  The in-arcs
+        of faces wider than ``D`` beyond the first ``D`` are the
+        *overflow*: their slots, concatenated face by face, with the
+        ``reduceat`` offsets of each wide face's run.
+        """
+        np = _np
+        nslots = len(self.in_tail)
+        deg = np.diff(self.indptr)
+        width = max(1, min(int(deg.max()) if self.nf else 0, PAD_WIDTH))
+        col = np.arange(width)[:, None]
+        pad_slot = np.where(col < deg, self.starts + col, nslots)
+        tail_ext = np.append(self.in_tail, 0)
+        wide = np.nonzero(deg > width)[0]
+        extra = deg[wide] - width
+        ov_starts = np.zeros(len(wide), dtype=np.int64)
+        np.cumsum(extra[:-1], out=ov_starts[1:])
+        ov_slots = (np.repeat(self.starts[wide] + width - ov_starts, extra)
+                    + np.arange(int(extra.sum())))
+        self._pad = (tail_ext[pad_slot], pad_slot, wide,
+                     self.in_tail[ov_slots], ov_slots, ov_starts)
+        return self._pad
+
     def multi_sssp(self, sources):
         """Synchronous Bellman–Ford from many sources at once: one
         distance row per source, all rows relaxed in whole-*matrix*
         passes (the batched form of :meth:`sssp`, used by the labeling
         kernels of :mod:`repro.engine.labels` where every bag needs a
         whole anchor set's distances).
+
+        Each pass runs on the degree-padded in-arc layout of
+        :meth:`_padded_layout`: one ``cur[:, pad_tail]`` gather into a
+        ``(rows, D, nf)`` block, one in-place add of the padded lengths
+        (gathered once per call from the current ``len_in``, so they
+        can never be stale), and one ``min(axis=1)``; the few faces
+        wider than ``D`` fold in their overflow arcs with one
+        ``minimum.reduceat`` over those slots only.  Every candidate is
+        still the left-fold ``dist[tail] + len`` and a minimum is exact
+        whatever the grouping, so the rows equal the per-pass
+        ``reduceat`` over all slots bit for bit, floats included;
+        padding contributes ``inf`` candidates only.
 
         Simple paths have at most ``nf - 1`` arcs, so an improving pass
         beyond ``nf`` proves a walk strictly better than every simple
@@ -197,26 +259,43 @@ class _VectorDualKernel:
         each other), so a row with no improvement in a pass has reached
         its fixpoint: converged rows leave the active set and later
         passes touch only the rows still shrinking, which caps the work
-        at Σ_r hops(r) instead of |sources| · max_r hops(r).
+        at Σ_r hops(r) instead of |sources| · max_r hops(r).  The active
+        rows stay compacted in one matrix relaxed in place; a row is
+        written back to the result only when it leaves.
         """
         np = _np
+        pad = self._pad if self._pad is not None else self._padded_layout()
+        pad_tail, pad_slot, wide, ov_tail, ov_slots, ov_starts = pad
+        len_ext = np.append(self.len_in, INF)
+        pad_len = len_ext[pad_slot]
+        ov_len = len_ext[ov_slots]
         k = len(sources)
-        dist = np.full((k, self.nf), np.inf, dtype=np.float64)
-        dist[np.arange(k), np.asarray(sources, dtype=np.int64)] = 0.0
-        starts = self.starts
-        in_tail = self.in_tail
-        len_in = self.len_in
-        active = np.arange(k)
+        cur = np.full((k, self.nf), np.inf, dtype=np.float64)
+        cur[np.arange(k), np.asarray(sources, dtype=np.int64)] = 0.0
+        # cur holds the active rows; a converged row goes back to its
+        # place in dist as it leaves
+        dist = np.empty_like(cur)
+        rows = np.arange(k)
         passes = 0
-        while len(active):
-            sub = dist[active]
-            cand = sub[:, in_tail] + len_in
-            seg = np.minimum.reduceat(cand, starts, axis=1)
-            improved = (seg < sub).any(axis=1)
-            if not improved.any():
-                break
-            active = active[improved]
-            dist[active] = np.minimum(sub[improved], seg[improved])
+        while len(rows):
+            cand = cur[:, pad_tail]
+            cand += pad_len
+            seg = cand.min(axis=1)
+            if len(wide):
+                ov = cur[:, ov_tail]
+                ov += ov_len
+                seg[:, wide] = np.minimum(
+                    seg[:, wide], np.minimum.reduceat(ov, ov_starts, axis=1))
+            improved = (seg < cur).any(axis=1)
+            if not improved.all():
+                done = ~improved
+                dist[rows[done]] = cur[done]
+                rows = rows[improved]
+                if not len(rows):
+                    break
+                cur = cur[improved]
+                seg = seg[improved]
+            np.minimum(cur, seg, out=cur)
             passes += 1
             if passes > self.nf:
                 raise NegativeCycleError(where="engine-sssp")
@@ -239,6 +318,15 @@ class _VectorDualKernel:
         return parent
 
 
+def _dart_array(lengths, num_darts):
+    """Per-dart lengths (dict or sequence) as one float64 array."""
+    np = _np
+    if isinstance(lengths, np.ndarray):
+        return lengths.astype(np.float64, copy=False)
+    return np.fromiter(map(lengths.__getitem__, range(num_darts)),
+                       dtype=np.float64, count=num_darts)
+
+
 def _as_scalar(x):
     """float64 distance -> the Python number the legacy backend yields."""
     if x == INF or x == -INF:
@@ -254,9 +342,15 @@ class FlowWorkspace:
         self.compiled = compiled
         nd = compiled.num_darts
         nf = compiled.num_faces
-        #: per-slot arc lengths (out-slot order of the dual CSR)
-        self.arc_len = [0] * nd
-        self._base_len = [0] * nd
+        self._vec = _VectorDualKernel(compiled) if _np is not None else None
+        if self._vec is None:
+            #: per-slot arc lengths (out-slot order of the dual CSR) of
+            #: the SPFA kernels; with numpy the lengths live only in
+            #: the vector kernel (see :meth:`_slot_lengths`)
+            self.arc_len = [0] * nd
+            self._base_len = [0] * nd
+            self._path_minus = []
+            self._path_plus = []
         #: face id -> distance, valid after :meth:`sssp`
         self.dist = [INF] * nf
         #: face id -> dart of a tight parent arc (-1 at source/unreached)
@@ -265,9 +359,6 @@ class FlowWorkspace:
         self._inq = bytearray(nf)
         self._inf_row = [INF] * nf
         self._zero_row = [0] * nf
-        self._path_minus = []
-        self._path_plus = []
-        self._vec = _VectorDualKernel(compiled) if _np is not None else None
         #: kernel invocation counters (benchmark introspection)
         self.sssp_runs = 0
         self.probe_runs = 0
@@ -276,18 +367,36 @@ class FlowWorkspace:
     # length loading
     # ------------------------------------------------------------------
     def load_lengths(self, lengths):
-        """Load arbitrary per-dart lengths (dict or sequence) into the
-        arc-length buffers."""
+        """Load arbitrary per-dart lengths (dict, sequence or array)
+        into the arc-length buffers."""
+        if self._vec is not None:
+            self._vec.load_lengths_by_dart(lengths)
+            return
         arc_dart = self.compiled.dual_arc_dart
         al = self.arc_len
         for s in range(len(al)):
             al[s] = lengths[arc_dart[s]]
-        if self._vec is not None:
-            self._vec.load_lengths_by_dart(lengths)
+
+    def in_slot_index(self, dart_map):
+        """``dart_map`` (one entry per dart) re-read in the vector
+        kernel's in-slot order (numpy only): ``table[index]`` is then a
+        whole length load for :meth:`load_in_slot_lengths`."""
+        return _np.asarray(dart_map, dtype=_np.intp)[self._vec.in_dart]
+
+    def load_in_slot_lengths(self, len_in):
+        """Load float64 lengths already in in-slot order (numpy only)."""
+        self._vec.len_in = len_in
 
     def bind_flow_problem(self, cap, path_darts):
         """Fix the λ-independent part of the residual lengths: ``cap``
         per dart plus the Miller–Naor path P whose darts get ∓λ."""
+        if self._vec is not None:
+            v = self._vec
+            self._vec_base = _dart_array(cap, len(v.in_dart))[v.in_dart]
+            path = _np.asarray(path_darts, dtype=_np.intp)
+            self._vec_minus = v.in_slot_of_dart[path]
+            self._vec_plus = v.in_slot_of_dart[path ^ 1]
+            return
         arc_dart = self.compiled.dual_arc_dart
         base = self._base_len
         for s in range(len(base)):
@@ -295,20 +404,17 @@ class FlowWorkspace:
         slot = self.compiled.slot_of_dart
         self._path_minus = [slot[d] for d in path_darts]
         self._path_plus = [slot[d ^ 1] for d in path_darts]
-        if self._vec is not None:
-            v = self._vec
-            flat = [cap[d] for d in range(self.compiled.num_darts)]
-            self._vec_base = _np.asarray(flat,
-                                         dtype=_np.float64)[v.in_dart]
-            iso = v.in_slot_of_dart
-            self._vec_minus = _np.asarray(
-                [int(iso[d]) for d in path_darts], dtype=_np.int64)
-            self._vec_plus = _np.asarray(
-                [int(iso[d ^ 1]) for d in path_darts], dtype=_np.int64)
 
     def set_lambda(self, lam):
         """Materialize ``len_λ`` for the bound flow problem: one row
         copy plus O(|P|) patches."""
+        if self._vec is not None:
+            li = self._vec_base.copy()
+            if lam:
+                li[self._vec_minus] -= lam
+                li[self._vec_plus] += lam
+            self._vec.len_in = li
+            return
         al = self.arc_len
         al[:] = self._base_len
         if lam:
@@ -316,12 +422,6 @@ class FlowWorkspace:
                 al[s] -= lam
             for s in self._path_plus:
                 al[s] += lam
-        if self._vec is not None:
-            li = self._vec_base.copy()
-            if lam:
-                li[self._vec_minus] -= lam
-                li[self._vec_plus] += lam
-            self._vec.len_in = li
 
     # ------------------------------------------------------------------
     # kernels
@@ -380,6 +480,16 @@ class FlowWorkspace:
     # ------------------------------------------------------------------
     # pure-Python fallbacks (numpy-free environments)
     # ------------------------------------------------------------------
+    def _slot_lengths(self):
+        """Per-out-slot arc lengths for the SPFA kernels: the list
+        buffer without numpy, else read back (as floats) from the
+        vector kernel's current lengths."""
+        if self._vec is None:
+            return self.arc_len
+        v = self._vec
+        return v.len_in[v.in_slot_of_dart[
+            _np.asarray(self.compiled.dual_arc_dart)]].tolist()
+
     def _spfa_probe(self):
         c = self.compiled
         nf = c.num_faces
@@ -391,7 +501,7 @@ class FlowWorkspace:
         inq[:] = b"\x01" * nf
         indptr = c.dual_indptr
         arc_head = c.dual_arc_head
-        al = self.arc_len
+        al = self._slot_lengths()
         limit = nf + 1
         q = deque(range(nf))
         while q:
@@ -427,7 +537,7 @@ class FlowWorkspace:
         indptr = c.dual_indptr
         arc_head = c.dual_arc_head
         arc_dart = c.dual_arc_dart
-        al = self.arc_len
+        al = self._slot_lengths()
         limit = nf + 1
         dist[source] = 0
         inq[source] = 1

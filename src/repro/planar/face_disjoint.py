@@ -207,8 +207,3 @@ class FaceDisjointGraph:
             for y in self.adj[x]:
                 g.add_edge(x, y)
         return g
-
-    @property
-    def congest_overhead(self):
-        """Rounds of G needed to simulate one round of Ĝ (Property 3)."""
-        return 2

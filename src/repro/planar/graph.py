@@ -240,12 +240,6 @@ class PlanarGraph:
         i = self._dart_pos[dart]
         return rot[(i + 1) % len(rot)]
 
-    def cw_predecessor(self, dart):
-        v = self.tail(dart)
-        rot = self.rotations[v]
-        i = self._dart_pos[dart]
-        return rot[(i - 1) % len(rot)]
-
     def next_in_face(self, dart):
         """Successor of ``dart`` along its face cycle."""
         return self.cw_successor(rev(dart))
@@ -579,9 +573,3 @@ class SubgraphView:
     def eccentricity(self, root):
         dist, _ = self.bfs(root)
         return max(dist.values())
-
-    def weak_diameter_estimate(self):
-        """2-approximate diameter of the view: eccentricity from one vertex,
-        doubled by the triangle inequality bound."""
-        v0 = next(iter(self._rot))
-        return self.eccentricity(v0)
