@@ -2,9 +2,10 @@
 
 Two acceptance gates:
 
-1. **Disabled overhead ≤ 2%** — the whole ``repro.obs`` layer sits
-   behind ``obs.enabled()`` checks, so with observability off the warm
-   query path must cost within 2% of an uninstrumented replica.  The
+1. **Disabled overhead ≤ 2%** — the ``repro.obs`` layer checks its
+   own switch (``execute_query`` alone reads the flag, to skip its
+   instrumented body), so with observability off the warm query path
+   must cost within 2% of an uninstrumented replica.  The
    replica is exactly what ``execute_query`` did before the layer
    existed: entry lookup, planner resolution, and the untouched
    ``_serve`` core (cache probe + dispatch) — so the comparison

@@ -99,8 +99,6 @@ def build_bdd(graph, leaf_size=None, ledger=None, max_depth=None,
     docstring).
     """
     kernels = _make_kernels(graph, backend)
-    if not obs.enabled():
-        return _build_bdd(graph, leaf_size, ledger, max_depth, kernels)
     with obs.span("bdd.build", m=graph.m, leaf_size=leaf_size,
                   backend=backend) as sp:
         bdd = _build_bdd(graph, leaf_size, ledger, max_depth, kernels)
@@ -110,8 +108,6 @@ def build_bdd(graph, leaf_size=None, ledger=None, max_depth=None,
 
 def _separate(kernels, bag):
     """One separator call, traced per level when obs is on."""
-    if not obs.enabled():
-        return kernels.separate(bag)
     obs.inc("bdd.separator.calls")
     with obs.span("bdd.separator", level=bag.level, m=bag.m) as sp:
         sep = kernels.separate(bag)

@@ -469,8 +469,6 @@ def compile_labeling_bags(bdd, duals=None):
            len(bdd.bags), bdd.depth)
 
     def build():
-        if not obs.enabled():
-            return CompiledLabelingBags(bdd, duals)
         with obs.span("labeling.compile_bags", bags=len(bdd.bags)):
             return CompiledLabelingBags(bdd, duals)
 
@@ -516,16 +514,15 @@ def build_dual_labels_engine(labeling, compiled=None):
     lengths = dart_length_table(labeling.lengths, labeling.graph.num_darts)
     labels = labeling._labels
     state = getattr(labeling, "_repair", None)
-    timed = obs.enabled()
     with obs.span("labeling.build",
                   bags=sum(len(lv) for lv in compiled.levels)):
         for level in compiled.levels:
             for bag_id, is_leaf in level:
                 if is_leaf:
-                    _label_leaf(compiled, bag_id, lengths, labels, timed)
+                    _label_leaf(compiled, bag_id, lengths, labels)
                 else:
                     _label_internal(compiled, bag_id, lengths, labels,
-                                    state=state, timed=timed)
+                                    state=state)
     return labels
 
 
@@ -574,7 +571,6 @@ def repair_dual_labels_engine(labeling, changed, compiled=None,
              "total_bags": sum(len(lv) for lv in compiled.levels),
              "repaired_leaves": 0, "repaired_internal": 0,
              "sssp_children": 0, "reused_children": 0}
-    timed = obs.enabled()
     with obs.span("labeling.repair", changed=len(changed),
                   dirty=len(dirty)):
         for level in compiled.levels:
@@ -582,21 +578,20 @@ def repair_dual_labels_engine(labeling, changed, compiled=None,
                 if bag_id not in dirty:
                     continue
                 if is_leaf:
-                    _label_leaf(compiled, bag_id, lengths, labels, timed)
+                    _label_leaf(compiled, bag_id, lengths, labels)
                     stats["repaired_leaves"] += 1
                 else:
                     _label_internal(compiled, bag_id, lengths, labels,
-                                    state=state, dirty=dirty,
-                                    stats=stats, timed=timed)
+                                    state=state, dirty=dirty, stats=stats)
                     stats["repaired_internal"] += 1
     return stats
 
 
-def _label_leaf(compiled, bag_id, lengths, labels, timed=False):
+def _label_leaf(compiled, bag_id, lengths, labels):
     """Leaf bag: whole-bag APSP in one batched Bellman–Ford call."""
     from repro.labeling.labels import Label, LabelEntry
 
-    t0 = time.perf_counter() if timed else 0.0
+    t0 = time.perf_counter()
     sl = compiled.slices[bag_id]
     nodes = sl.nodes
     k = len(nodes)
@@ -618,9 +613,7 @@ def _label_leaf(compiled, bag_id, lengths, labels, timed=False):
             dist_to=dict(zip(nodes, to_rows[vi])),
             dist_from=dict(zip(nodes, from_rows[vi])))
         labels[(bag_id, v)] = Label(node=v, entries=[entry])
-    if timed:
-        obs.observe("labeling.leaf_apsp_seconds",
-                    time.perf_counter() - t0)
+    obs.observe("labeling.leaf_apsp_seconds", time.perf_counter() - t0)
 
 
 def _ddg_arcs(rec, fwd, lengths):
@@ -789,7 +782,7 @@ def _group_min_np(rec, m, axis):
     return out
 
 
-def _ddg_stage_np(rec, fwd, lengths, timed):
+def _ddg_stage_np(rec, fwd, lengths):
     """The DDG stage on arrays: ``(fd, self_dist, m_out_c, m_in_c)`` —
     the ``F_X`` face-to-face matrix (zero diagonal), the per-face
     self-distances of the negative-cycle check, and per child the
@@ -800,13 +793,12 @@ def _ddg_stage_np(rec, fwd, lengths, timed):
     negative = w.size > 0 and w.min() < 0
     # mixed signs: the legacy SPFA over the arc list, and its raise site
     arcs = _ddg_arcs(rec, fwd, lengths)[0] if negative else None
-    t0 = time.perf_counter() if timed else 0.0
+    t0 = time.perf_counter()
     if negative:
         ddg = _np.array(_ddg_spfa(rec, arcs), dtype=_np.float64)
     else:
         ddg = _ddg_relax(w)
-    if timed:
-        obs.observe("labeling.ddg_relax_seconds", time.perf_counter() - t0)
+    obs.observe("labeling.ddg_relax_seconds", time.perf_counter() - t0)
     row_g = _group_min_np(rec, ddg, axis=1)   # part x face
     col_g = _group_min_np(rec, ddg, axis=0)   # face x part
     fd = _group_min_np(rec, row_g, axis=0)
@@ -834,17 +826,16 @@ def _group_min(row, bounds):
     return best
 
 
-def _ddg_stage_py(compiled, rec, fwd, lengths, timed):
+def _ddg_stage_py(compiled, rec, fwd, lengths):
     """The numpy-free DDG stage; same contract as
     :func:`_ddg_stage_np`, on lists."""
     arcs, has_negative = _ddg_arcs(rec, fwd, lengths)
-    t0 = time.perf_counter() if timed else 0.0
+    t0 = time.perf_counter()
     if has_negative:
         ddg = _ddg_spfa(rec, arcs)
     else:
         ddg = _ddg_dijkstra(compiled, rec, arcs)
-    if timed:
-        obs.observe("labeling.ddg_relax_seconds", time.perf_counter() - t0)
+    obs.observe("labeling.ddg_relax_seconds", time.perf_counter() - t0)
 
     nfx = len(rec.f_x)
     bounds = rec.group_bounds
@@ -891,7 +882,7 @@ def _ddg_stage_py(compiled, rec, fwd, lengths, timed):
 
 
 def _label_internal(compiled, bag_id, lengths, labels, state=None,
-                    dirty=None, stats=None, timed=False):
+                    dirty=None, stats=None):
     from repro.labeling.labels import Label, LabelEntry
 
     rec = compiled.internal[bag_id]
@@ -936,11 +927,10 @@ def _label_internal(compiled, bag_id, lengths, labels, state=None,
 
     # ---- DDG: assemble, relax, F_X part-group minima -----------------
     if _np is not None:
-        fd, self_dist, m_out_c, m_in_c = _ddg_stage_np(rec, fwd, lengths,
-                                                       timed)
+        fd, self_dist, m_out_c, m_in_c = _ddg_stage_np(rec, fwd, lengths)
     else:
         fd, self_dist, m_out_c, m_in_c = _ddg_stage_py(
-            compiled, rec, fwd, lengths, timed)
+            compiled, rec, fwd, lengths)
 
     # ---- negative-cycle face check + F_X labels ----------------------
     for j, f in enumerate(f_x):

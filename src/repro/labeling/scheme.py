@@ -31,7 +31,6 @@ for cold :class:`~repro.service.queries.DistanceQuery` misses.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import deque
 
@@ -141,8 +140,6 @@ class DualDistanceLabeling:
 
     def distance(self, f, g):
         """dist_{G*}(f → g) decoded from the two labels."""
-        if not obs.enabled():
-            return decode_distance(self.label(f), self.label(g))
         t0 = time.perf_counter()
         d = decode_distance(self.label(f), self.label(g))
         obs.observe("labeling.decode_seconds", time.perf_counter() - t0)

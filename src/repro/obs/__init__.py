@@ -29,9 +29,13 @@ Quick start::
         print(line)
     print(obs.render_prometheus(obs.registry().snapshot()))
 
-Every instrumentation site in the library is gated on
-:func:`enabled` — ``benchmarks/bench_obs.py`` holds the disabled-mode
-overhead of the warm query path under 2%.
+The layer checks its own switch: while disabled, :func:`span` returns
+the shared :data:`NOOP_SPAN`, the metric helpers return before
+touching the registry, and :func:`current_trace` /
+:func:`activate_trace` are inert — so an instrumentation site keeps
+one body and never reads :func:`enabled` itself.
+``benchmarks/bench_obs.py`` holds the disabled-mode overhead of the
+warm query path under 2%.
 """
 
 from repro.obs.export import (

@@ -15,10 +15,13 @@ from an incoming wire frame / pool command, which is how one query's
 spans stitch across client → server thread → forked worker: see
 :func:`current_trace` / :func:`activate_trace`).
 
-**The disabled path is the design center.**  The whole layer sits
-behind :func:`enabled` — a module-global bool read — and
-:func:`span` returns one shared no-op context manager when tracing is
-off, so an instrumented hot site costs a function call and a branch
+**The disabled path is the design center.**  The layer gates itself
+on one module-global bool: :func:`span` returns one shared no-op
+context manager, the metric helpers (:func:`inc`, :func:`observe`,
+:func:`observe_windowed`, :func:`set_gauge`) return before touching
+the registry, and :func:`current_trace` / :func:`activate_trace` are
+inert while it is off.  An instrumented site therefore keeps one body
+and costs a few function calls when disabled
 (``benchmarks/bench_obs.py`` gates the warm-query overhead at ≤ 2%).
 
 Finished spans are plain JSON-safe dicts handed to the registered
@@ -61,7 +64,10 @@ _trace_counter = itertools.count(1)
 
 def enabled():
     """Whether tracing + metrics collection are on (cheap: one global
-    read — this is the gate every instrumentation site checks first)."""
+    read).  Instrumentation sites need not check it — every helper
+    here gates itself; it is for the few callers whose *behaviour*
+    differs by mode (forking workers into shipping mode, SLO
+    evaluation)."""
     return _enabled
 
 
@@ -120,22 +126,26 @@ def reset(registry_too=True):
 
 
 # ----------------------------------------------------------------------
-# metric write helpers (gated by the caller via enabled())
+# metric write helpers: each returns at once while the layer is off
 # ----------------------------------------------------------------------
 def inc(name, n=1):
-    _registry.inc(name, n)
+    if _enabled:
+        _registry.inc(name, n)
 
 
 def observe(name, value):
-    _registry.observe(name, value)
+    if _enabled:
+        _registry.observe(name, value)
 
 
 def observe_windowed(name, value, now=None):
-    _registry.observe_windowed(name, value, now)
+    if _enabled:
+        _registry.observe_windowed(name, value, now)
 
 
 def set_gauge(name, value):
-    _registry.set_gauge(name, value)
+    if _enabled:
+        _registry.set_gauge(name, value)
 
 
 # ----------------------------------------------------------------------
@@ -154,17 +164,19 @@ def _new_span_id():
 
 def current_trace():
     """``(trace_id, span_id)`` of the innermost open span, or ``None``
-    — the context to propagate into a wire frame or pool command."""
-    return _ctx.get()
+    — the context to propagate into a wire frame or pool command.
+    Always ``None`` while the layer is disabled."""
+    return _ctx.get() if _enabled else None
 
 
 def activate_trace(ctx):
     """Adopt a propagated ``(trace_id, parent_span_id)`` pair (list or
     tuple, e.g. straight off a wire frame) as the current trace
     context; returns a token for :func:`deactivate_trace`.  ``None``
-    (or a malformed value) activates nothing and returns ``None``."""
-    if (not isinstance(ctx, (list, tuple)) or len(ctx) != 2
-            or not all(isinstance(x, str) for x in ctx)):
+    (or a malformed value, or a disabled layer) activates nothing and
+    returns ``None``."""
+    if (not _enabled or not isinstance(ctx, (list, tuple))
+            or len(ctx) != 2 or not all(isinstance(x, str) for x in ctx)):
         return None
     return _ctx.set((ctx[0], ctx[1]))
 

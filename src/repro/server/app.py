@@ -131,31 +131,20 @@ class QueryServer:
         — and everything below it, down to the forked worker — stitches
         into the caller's trace.
         """
-        if not obs.enabled():
-            return self._dispatch(frame)
         verb = frame.get("verb")
-        token = None
-        ctx = frame.get("trace")
-        if (isinstance(ctx, (list, tuple)) and len(ctx) == 2
-                and all(isinstance(x, str) for x in ctx)):
-            token = obs.activate_trace(tuple(ctx))
+        token = obs.activate_trace(frame.get("trace"))
         try:
             with obs.span(f"server.{verb}"):
-                return self._dispatch(frame)
+                handler = self._HANDLERS.get(verb) \
+                    if isinstance(verb, str) else None
+                if handler is None:
+                    raise ProtocolError(f"unknown verb {verb!r}")
+                out = {"v": wire.PROTOCOL_VERSION, "id": frame.get("id"),
+                       "ok": True}
+                out.update(handler(self, frame))
+                return out
         finally:
-            if token is not None:
-                obs.deactivate_trace(token)
-
-    def _dispatch(self, frame):
-        verb = frame.get("verb")
-        handler = self._HANDLERS.get(verb) if isinstance(verb, str) \
-            else None
-        if handler is None:
-            raise ProtocolError(f"unknown verb {verb!r}")
-        out = {"v": wire.PROTOCOL_VERSION, "id": frame.get("id"),
-               "ok": True}
-        out.update(handler(self, frame))
-        return out
+            obs.deactivate_trace(token)
 
     # ------------------------------------------------------------------
     # verb handlers: frame -> the verb's response fields

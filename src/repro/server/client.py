@@ -84,50 +84,41 @@ class ServiceClient:
         verb for verb, safe in wire.VERBS.items() if safe)
 
     def _call(self, verb, **payload):
-        if not obs.enabled():
-            return self._call_inner(verb, None, payload)
         with obs.span(f"client.{verb}", host=self.host,
                       port=self.port) as sp:
-            response = self._call_inner(
-                verb, [sp.trace_id, sp.span_id], payload)
-            if self._last_retried:
-                sp.tag(retried=True)
-            return response
-
-    def _call_inner(self, verb, trace_ctx, payload):
-        self._last_retried = False
-        self.connect()
-        self._frame_id += 1
-        frame = {"v": wire.PROTOCOL_VERSION, "id": self._frame_id,
-                 "verb": verb}
-        if trace_ctx is not None:
-            frame["trace"] = trace_ctx
-        frame.update(payload)
-        data = wire.encode_frame(frame)
-        try:
-            response = self._roundtrip(data)
-        except (ConnectionResetError, BrokenPipeError, EOFError):
-            # stale/dropped connection: reconnect once and retry, but
-            # only for idempotent verbs — and never on a socket
-            # timeout (also an OSError), which means the request may
-            # still be executing server-side
-            if verb not in self._RETRY_VERBS:
-                self.close()
-                raise
-            self.close()
+            self._last_retried = False
             self.connect()
-            self.reconnects += 1
-            self._last_retried = True
-            if obs.enabled():
+            self._frame_id += 1
+            frame = {"v": wire.PROTOCOL_VERSION, "id": self._frame_id,
+                     "verb": verb}
+            if sp.trace_id is not None:  # None: obs off, no trace field
+                frame["trace"] = [sp.trace_id, sp.span_id]
+            frame.update(payload)
+            data = wire.encode_frame(frame)
+            try:
+                response = self._roundtrip(data)
+            except (ConnectionResetError, BrokenPipeError, EOFError):
+                # stale/dropped connection: reconnect once and retry,
+                # but only for idempotent verbs — and never on a socket
+                # timeout (also an OSError), which means the request
+                # may still be executing server-side
+                if verb not in self._RETRY_VERBS:
+                    self.close()
+                    raise
+                self.close()
+                self.connect()
+                self.reconnects += 1
+                self._last_retried = True
+                sp.tag(retried=True)
                 obs.inc("client.reconnects")
-            response = self._roundtrip(data)
-        if response.get("id") != frame["id"]:
-            raise ProtocolError(
-                f"response id {response.get('id')!r} does not match "
-                f"request id {frame['id']!r}")
-        if not response.get("ok"):
-            raise wire.exception_from_wire(response.get("error", {}))
-        return response
+                response = self._roundtrip(data)
+            if response.get("id") != frame["id"]:
+                raise ProtocolError(
+                    f"response id {response.get('id')!r} does not match "
+                    f"request id {frame['id']!r}")
+            if not response.get("ok"):
+                raise wire.exception_from_wire(response.get("error", {}))
+            return response
 
     def _roundtrip(self, data):
         self._file.write(data)

@@ -16,9 +16,8 @@ anything.  A
    worker's first query is already warm.  Where ``fork`` is
    unavailable the pool falls back to ``spawn`` and hands each worker
    a pickled :class:`~repro.service.catalog.CatalogSnapshot` instead
-   (same warm artifacts, one payload; workspace pools are never
-   shipped — each worker rebuilds its own buffers, per the engine's
-   per-process-buffers contract);
+   (same warm artifacts, one payload; an artifact that does not
+   pickle is skipped and rebuilt by the worker on first use);
 3. **serve** — queries are dispatched over *all* workers with a
    bounded per-worker window: any worker answers any query, so a skewed
    mix (10⁴ queries on one graph, 3 on another) still saturates the
@@ -115,11 +114,9 @@ def _worker_main(worker_id, catalog, snapshot, command_q, result_q,
             break
         if verb == "query":
             _, job_id, query, body, ctx, t_submit = msg
-            token = None
-            if obs.enabled():
-                obs.observe("pool.queue_wait_seconds",
-                            max(0.0, time.monotonic() - t_submit))
-                token = obs.activate_trace(ctx)
+            obs.observe("pool.queue_wait_seconds",
+                        max(0.0, time.monotonic() - t_submit))
+            token = obs.activate_trace(ctx)
             try:
                 result_q.put((worker_id, job_id, True,
                               _execute(catalog, query,
@@ -449,7 +446,7 @@ class WarmWorkerPool:
         # submitting thread rides the command queue so the worker's
         # spans stitch under the caller's span; t_submit (monotonic,
         # cross-process comparable on this host) prices the queue wait
-        ctx = obs.current_trace() if obs.enabled() else None
+        ctx = obs.current_trace()
         t_submit = time.monotonic()
         with self._lock:
             # re-checked under the lock: a close() that won the race
@@ -771,8 +768,7 @@ class WarmWorkerPool:
                 self._pending.popleft()
             self._assigned[job_id] = wid
             self._inflight[wid] = count + 1
-            if obs.enabled():
-                obs.inc("pool.dispatched")
+            obs.inc("pool.dispatched")
             self._command_qs[wid].put(
                 ("query", job_id, query, body, ctx, t_submit))
 
@@ -782,14 +778,13 @@ class WarmWorkerPool:
         row["count"] += 1
         row["warm"] += bool(result.warm)
         row["seconds"] += getattr(result, "seconds", 0.0)
-        if obs.enabled():
-            # the same rollup, re-expressed over the metrics registry
-            # (what the ``metrics`` wire verb exports)
-            obs.inc(f"pool.completed.{kind}")
-            if result.warm:
-                obs.inc(f"pool.warm.{kind}")
-            obs.observe(f"pool.serve_seconds.{kind}",
-                        getattr(result, "seconds", 0.0))
+        # the same rollup, re-expressed over the metrics registry
+        # (what the ``metrics`` wire verb exports)
+        obs.inc(f"pool.completed.{kind}")
+        if result.warm:
+            obs.inc(f"pool.warm.{kind}")
+        obs.observe(f"pool.serve_seconds.{kind}",
+                    getattr(result, "seconds", 0.0))
 
     def _collect(self):
         import queue as _queue
@@ -856,10 +851,9 @@ class WarmWorkerPool:
                     continue
                 self._dead.add(wid)
                 self._inflight[wid] = 0
-                if obs.enabled():
-                    obs.inc("pool.worker_deaths")
-                    obs.set_gauge("pool.workers_alive",
-                                  len(self._procs) - len(self._dead))
+                obs.inc("pool.worker_deaths")
+                obs.set_gauge("pool.workers_alive",
+                              len(self._procs) - len(self._dead))
                 for job_id, owner in list(self._assigned.items()):
                     if owner == wid:
                         fut = self._futures.pop(job_id, None)
@@ -902,17 +896,15 @@ class WarmWorkerPool:
             now = time.monotonic()
         if self.workers:
             self._reap_dead()
-        if obs.enabled():
-            with self._lock:
-                pending = len(self._pending)
-                rows = self._worker_rows(now)
-            obs.set_gauge("pool.queue_depth", pending)
-            obs.set_gauge("pool.inflight",
-                          sum(row["inflight"] for row in rows))
-            obs.set_gauge("pool.workers_alive",
-                          sum(row["alive"] for row in rows))
-            obs.set_gauge("pool.workers_stalled",
-                          sum(row["stalled"] for row in rows))
+        with self._lock:
+            pending = len(self._pending)
+            rows = self._worker_rows(now)
+        obs.set_gauge("pool.queue_depth", pending)
+        obs.set_gauge("pool.inflight", sum(row["inflight"] for row in rows))
+        obs.set_gauge("pool.workers_alive",
+                      sum(row["alive"] for row in rows))
+        obs.set_gauge("pool.workers_stalled",
+                      sum(row["stalled"] for row in rows))
         self._maybe_audit(now)
 
     def _maybe_audit(self, now):
@@ -944,10 +936,9 @@ class WarmWorkerPool:
                 report["ok"] = False
                 report["graphs"][name] = (f"{type(exc).__name__}: "
                                           f"{exc}")
-        if obs.enabled():
-            obs.inc("pool.background_audits")
-            if not report["ok"]:
-                obs.inc("pool.background_audit_failures")
+        obs.inc("pool.background_audits")
+        if not report["ok"]:
+            obs.inc("pool.background_audit_failures")
         self._last_audit = report
 
 

@@ -159,8 +159,6 @@ def _json(value):
 def encode_frame(payload):
     """One frame: compact JSON + newline, as bytes (a :class:`Body`
     in ``payload`` is spliced in as the text it holds)."""
-    if not obs.enabled():
-        return (_json(payload) + "\n").encode("utf-8")
     t0 = time.perf_counter()
     data = (_json(payload) + "\n").encode("utf-8")
     obs.inc("wire.frames_encoded")
@@ -171,7 +169,7 @@ def encode_frame(payload):
 def decode_frame(line):
     """Parse one frame (bytes or str); :class:`ProtocolError` on bad
     JSON or a non-object payload."""
-    t0 = time.perf_counter() if obs.enabled() else 0.0
+    t0 = time.perf_counter()
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
     try:
@@ -181,9 +179,8 @@ def decode_frame(line):
     if not isinstance(payload, dict):
         raise ProtocolError(f"frame must be a JSON object, got "
                             f"{type(payload).__name__}")
-    if obs.enabled():
-        obs.inc("wire.frames_decoded")
-        obs.observe("wire.decode_seconds", time.perf_counter() - t0)
+    obs.inc("wire.frames_decoded")
+    obs.observe("wire.decode_seconds", time.perf_counter() - t0)
     return payload
 
 

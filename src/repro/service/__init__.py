@@ -31,7 +31,6 @@ from repro.service.catalog import (
     CatalogEntry,
     CatalogSnapshot,
     GraphCatalog,
-    WorkspacePool,
     default_dual_lengths,
 )
 from repro.service.queries import (
@@ -51,7 +50,6 @@ __all__ = [
     "GraphCatalog",
     "CatalogEntry",
     "CatalogSnapshot",
-    "WorkspacePool",
     "default_dual_lengths",
     "FlowQuery",
     "CutQuery",

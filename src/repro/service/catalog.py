@@ -4,8 +4,8 @@ cheap (DESIGN.md §8).
 The paper's central data structure — the Õ(D)-bit dual distance
 labeling of Theorem 2.1 — is *built once and then answers queries*; the
 same shape holds for every other expensive object in the stack (the
-compiled CSR topology, the BDD and its dual bags, loaded flow solvers,
-Dijkstra workspaces).  A :class:`GraphCatalog` makes that amortization
+compiled CSR topology, the BDD and its dual bags, loaded flow
+solvers).  A :class:`GraphCatalog` makes that amortization
 explicit: register a graph under a name, and every query served against
 that name reuses the artifacts of all previous queries.
 
@@ -35,6 +35,7 @@ import pickle
 
 from repro import obs
 from repro._artifacts import (
+    _MISSING,
     ArtifactCache,
     Fingerprint,
     graph_fingerprint,
@@ -54,53 +55,6 @@ def default_dual_lengths(graph):
         lengths[2 * eid] = graph.weights[eid]
         lengths[2 * eid + 1] = 0
     return lengths
-
-
-class WorkspacePool:
-    """A free-list of reusable workspaces for one compiled graph.
-
-    Sequential callers lease the same instance over and over (zero
-    allocation in steady state); concurrent callers each get their own,
-    returned to the pool on release.  Use :meth:`lease` as a context
-    manager, or :meth:`acquire` / :meth:`release` directly.
-    """
-
-    def __init__(self, factory):
-        self._factory = factory
-        self._free = []
-        #: total workspaces ever constructed (observability)
-        self.created = 0
-
-    def acquire(self):
-        if self._free:
-            return self._free.pop()
-        self.created += 1
-        return self._factory()
-
-    def release(self, workspace):
-        self._free.append(workspace)
-
-    def lease(self):
-        return _Lease(self)
-
-    def __len__(self):
-        """Workspaces currently idle in the pool."""
-        return len(self._free)
-
-
-class _Lease:
-    def __init__(self, pool):
-        self._pool = pool
-        self._ws = None
-
-    def __enter__(self):
-        self._ws = self._pool.acquire()
-        return self._ws
-
-    def __exit__(self, *exc):
-        self._pool.release(self._ws)
-        self._ws = None
-        return False
 
 
 class CatalogEntry:
@@ -179,7 +133,7 @@ class CatalogEntry:
             return build_bdd(self.graph, leaf_size=leaf_size,
                              backend=backend)
 
-        return self.catalog._shared_artifact(key, build)
+        return self.catalog._artifact(key, build, shared_cache())
 
     def labeling(self, leaf_size=None, backend="engine"):
         """The dual distance labeling under :func:`default_dual_lengths`
@@ -206,40 +160,14 @@ class CatalogEntry:
 
             bdd = self.bdd(leaf_size=leaf_size)
             duals_key = ("dual-bags", topo_token(self.graph), leaf_size)
-            duals = self.catalog._shared_artifact(
-                duals_key, lambda: build_all_dual_bags(bdd))
+            duals = self.catalog._artifact(
+                duals_key, lambda: build_all_dual_bags(bdd),
+                shared_cache())
             return DualDistanceLabeling(bdd,
                                         default_dual_lengths(self.graph),
                                         duals=duals, backend=backend,
                                         repair_state=(backend
                                                       == "engine"))
-
-        return self.catalog._artifact(key, build)
-
-    def flow_workspace_pool(self):
-        """Pool of :class:`~repro.engine.workspace.FlowWorkspace` over
-        the compiled dual (for kernel-level callers running their own
-        length schedules)."""
-        key = ("flow-pool", self.name)
-
-        def build():
-            from repro.engine import FlowWorkspace
-
-            compiled = self.compiled()
-            return WorkspacePool(lambda: FlowWorkspace(compiled))
-
-        return self.catalog._artifact(key, build)
-
-    def dijkstra_workspace_pool(self, num_ids=None):
-        """Pool of :class:`~repro.engine.dijkstra.DijkstraWorkspace`
-        over an id universe (default: the primal vertices)."""
-        n = self.graph.n if num_ids is None else num_ids
-        key = ("dijkstra-pool", self.name, n)
-
-        def build():
-            from repro.engine import DijkstraWorkspace
-
-            return WorkspacePool(lambda: DijkstraWorkspace(n))
 
         return self.catalog._artifact(key, build)
 
@@ -290,29 +218,21 @@ class GraphCatalog:
                                f"{sorted(self._entries)}")
         return entry
 
-    def _artifact(self, key, build):
-        """``artifacts.get_or_build`` with per-kind hit/miss counters
-        (``catalog.artifact.{hit,miss}.<kind>``, where the kind is the
-        key's leading component — ``flow-solver``, ``bdd``,
-        ``labeling``, ...) when :mod:`repro.obs` is enabled."""
-        if obs.enabled():
-            hit = key in self.artifacts
-            obs.inc(f"catalog.artifact."
-                    f"{'hit' if hit else 'miss'}.{key[0]}")
-        return self.artifacts.get_or_build(key, build)
-
-    def _shared_artifact(self, key, build):
-        """Like :meth:`_artifact` (same ``catalog.artifact.{hit,miss}.
-        <kind>`` counters) but against the engine's process-wide
-        :func:`~repro._artifacts.shared_cache` — for topology-only
-        artifacts keyed by topology token (``bdd``, ``dual-bags``) that
-        must survive weight repricing and ship with snapshots."""
-        cache = shared_cache()
-        if obs.enabled():
-            hit = key in cache
-            obs.inc(f"catalog.artifact."
-                    f"{'hit' if hit else 'miss'}.{key[0]}")
-        return cache.get_or_build(key, build)
+    def _artifact(self, key, build, cache=None):
+        """Get-or-build ``key`` in ``cache``, with per-kind hit/miss
+        counters (``catalog.artifact.{hit,miss}.<kind>``, where the kind
+        is the key's leading component — ``flow-solver``, ``bdd``,
+        ``labeling``, ...).  ``cache`` defaults to ``self.artifacts``;
+        topology-only artifacts keyed by topology token (``bdd``,
+        ``dual-bags``), which must survive weight repricing and ship
+        with snapshots, pass the engine's process-wide
+        :func:`~repro._artifacts.shared_cache`."""
+        if cache is None:
+            cache = self.artifacts
+        value = cache.get(key, _MISSING)
+        hit = value is not _MISSING
+        obs.inc(f"catalog.artifact.{'hit' if hit else 'miss'}.{key[0]}")
+        return value if hit else cache.put(key, build())
 
     def __contains__(self, name):
         return name in self._entries
@@ -365,8 +285,7 @@ class GraphCatalog:
             g.weights[:] = weights
         if capacities is not None:
             g.capacities[:] = capacities
-        if obs.enabled():
-            obs.inc("catalog.set_weights")
+        obs.inc("catalog.set_weights")
         return self.invalidate(name)
 
     def mutate_weights(self, name, edges, max_dirty_frac=0.5):
@@ -397,8 +316,6 @@ class GraphCatalog:
         (bit-identical) detection site is re-raised — the weights stay
         applied, exactly as a fresh build would find them.
         """
-        if not obs.enabled():
-            return self._mutate_weights(name, edges, max_dirty_frac)
         with obs.span("catalog.mutate_weights", graph=name) as sp:
             report = self._mutate_weights(name, edges, max_dirty_frac)
             dirty = sum(row.get("dirty_bags", 0)
@@ -607,14 +524,10 @@ class GraphCatalog:
         Captured: the registered graphs, the planner, every picklable
         artifact and (optionally) memoized result, and the graphs'
         entries in the engine's process-wide shared cache (compiled CSR,
-        compiled labeling bags, cycle oracles).  *Not* captured —
-        recorded under ``snapshot.skipped`` instead:
-
-        * workspace pools (their factories are process-local closures
-          and their buffers are cheap) — a restored catalog rebuilds
-          them on first use, which is exactly the per-worker-buffers
-          contract of :mod:`repro.engine`;
-        * any artifact that fails a pickle probe.
+        compiled labeling bags, cycle oracles).  An artifact that fails a
+        pickle probe is *not* captured; its key is recorded under
+        ``snapshot.skipped`` instead, and a restored catalog rebuilds
+        it on first use.
 
         The snapshot holds *live references*; pickling it (what a
         ``spawn`` worker handoff does) copies everything in one payload,
@@ -629,7 +542,7 @@ class GraphCatalog:
         def capture(cache):
             kept = []
             for key, value in cache.items():
-                if isinstance(value, WorkspacePool) or not _picklable(value):
+                if not _picklable(value):
                     skipped.append(key)
                 else:
                     kept.append((key, value))
@@ -751,7 +664,7 @@ class CatalogSnapshot:
         self.results = results
         self.shared = shared
         #: keys present in the source caches but not captured
-        #: (workspace pools by design, plus pickle-probe failures)
+        #: (pickle-probe failures)
         self.skipped = skipped
         self.max_artifacts = max_artifacts
         self.max_results = max_results

@@ -196,8 +196,10 @@ def execute_query(catalog, query, planner=None):
     ``health.error_seconds.<kind>`` windows that
     :mod:`repro.obs.health` evaluates SLOs against.
     """
-    # the flag itself rather than obs.enabled(): a warm hit is a few
-    # microseconds, and the call alone would be ~1% of it
+    # the one instrumented site that keeps a disabled body (DESIGN.md
+    # §13): a warm hit is a few microseconds, so even no-op span and
+    # metric calls would show; it reads the flag itself, not
+    # obs.enabled(), because the call alone would be ~1% of it
     if not _obs_trace._enabled:
         entry = catalog.get(query.graph)
         if planner is None:
@@ -265,9 +267,8 @@ class _ServedFlow:
 
     def solve(self, s, t):
         served = _serve(*self._serve_args)
-        if obs.enabled():
-            obs.inc("service.cut.flow.hit" if served.warm
-                    else "service.cut.flow.miss")
+        obs.inc("service.cut.flow.hit" if served.warm
+                else "service.cut.flow.miss")
         return served.result
 
 

@@ -201,8 +201,7 @@ def run_load(queries, make_target, rate=200.0, connections=4,
                     with lock:
                         stats.errors[name] = \
                             stats.errors.get(name, 0) + 1
-                    if obs.enabled():
-                        obs.inc(f"loadgen.errors.{kind}")
+                    obs.inc(f"loadgen.errors.{kind}")
                 else:
                     latency = time.perf_counter() - arrived
                     retried = bool(getattr(envelope, "retried", False))
@@ -210,11 +209,10 @@ def run_load(queries, make_target, rate=200.0, connections=4,
                         stats.latencies.append(latency)
                         if retried:
                             stats.retried += 1
-                    if obs.enabled():
-                        obs.observe(f"loadgen.latency_seconds.{kind}",
-                                    latency)
-                        if retried:
-                            obs.inc(f"loadgen.retried.{kind}")
+                    obs.observe(f"loadgen.latency_seconds.{kind}",
+                                latency)
+                    if retried:
+                        obs.inc(f"loadgen.retried.{kind}")
                     if on_result is not None:
                         on_result(envelope)
         finally:

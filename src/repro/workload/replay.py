@@ -42,7 +42,6 @@ that legitimately differ between a cold reference and a warm pool.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -56,13 +55,9 @@ from repro.workload.scenario import (
     Register,
     Scenario,
     SetWeights,
+    _canonical_line,
     event_to_wire,
 )
-
-
-def _canonical_line(obj):
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":"))
-            + "\n").encode("utf-8")
 
 
 @dataclass(frozen=True)

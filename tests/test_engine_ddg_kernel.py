@@ -163,12 +163,12 @@ def _rows(fwd):
 
 def reference_stage(rec, fwd, lengths):
     return L._ddg_stage_py(_reference_compiled(rec), rec, _rows(fwd),
-                           lengths, False)
+                           lengths)
 
 
 def assert_stages_equal(rec, fwd, lengths):
     """The vectorized stage returns exactly the reference's values."""
-    got = L._ddg_stage_np(rec, fwd, lengths, False)
+    got = L._ddg_stage_np(rec, fwd, lengths)
     want = reference_stage(rec, fwd, lengths)
     fd, self_dist, m_out_c, m_in_c = got
     assert fd.tolist() == np.asarray(want[0], dtype=float).tolist()
@@ -310,7 +310,7 @@ def test_negative_sx_arc_cycle_raises_at_ddg_site():
     fwd = [clique([[0, 0.1, 0.2], [0.3, 0, 0.1], [0.7, 0.2, 0]]),
            clique([[0, 1], [1, 0]])]
     lengths = {10: -0.7}
-    got = _raise_site(lambda: L._ddg_stage_np(rec, fwd, lengths, False))
+    got = _raise_site(lambda: L._ddg_stage_np(rec, fwd, lengths))
     assert got == ("negative cycle crossing F_X of bag 9", ("ddg", 9))
     assert got == _raise_site(
         lambda: reference_stage(rec, fwd, lengths))

@@ -544,3 +544,133 @@ def test_disabled_layer_costs_nothing_visible():
     execute_query(catalog, CutQuery("g", 0, 8))  # no reuse counters
     assert obs.registry().snapshot() == {}
     assert obs.sinks() == []
+
+
+# ----------------------------------------------------------------------
+# the layer gates itself: disabled helpers write and propagate nothing
+# ----------------------------------------------------------------------
+class TestDisabledGate:
+    def test_metric_helpers_leave_registry_empty(self):
+        assert obs.enabled() is False
+        obs.inc("x")
+        obs.inc("x", 5)
+        obs.observe("lat", 0.25)
+        obs.observe_windowed("win", 0.25)
+        obs.set_gauge("g", 7)
+        assert obs.registry().snapshot() == {}
+        # the same helpers write once the layer is on
+        obs.enable()
+        obs.inc("x")
+        assert obs.registry().snapshot()["x"]["value"] == 1
+
+    def test_activate_trace_is_inert(self):
+        token = obs.activate_trace(("t", "s"))
+        try:
+            assert token is None
+            assert obs.current_trace() is None
+        finally:
+            obs.deactivate_trace(token)
+
+    def test_current_trace_is_none_while_disabled(self):
+        obs.enable()
+        with obs.span("outer") as sp:
+            assert obs.current_trace() == (sp.trace_id, sp.span_id)
+            obs.disable()
+            assert obs.current_trace() is None
+
+    def test_served_roundtrip_carries_no_trace(self, monkeypatch):
+        frames = []
+        dispatch = QueryServer.dispatch
+
+        def recording_dispatch(self, frame):
+            frames.append(dict(frame))
+            return dispatch(self, frame)
+
+        monkeypatch.setattr(QueryServer, "dispatch", recording_dispatch)
+        g = make_grid(3, 3)
+        pool = WarmWorkerPool(workers=1)
+        pool.register("g", g)
+        pool.start()
+        commands = []
+
+        class RecordingQueue:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def put(self, msg):
+                commands.append(msg)
+                self._inner.put(msg)
+
+        pool._command_qs = {wid: RecordingQueue(cq)
+                            for wid, cq in pool._command_qs.items()}
+        server = QueryServer(pool).start_background()
+        try:
+            with ServiceClient(*server.address, timeout=60) as client:
+                client.ping()
+                r = client.query(DistanceQuery("g", 0, 1))
+            catalog = GraphCatalog()
+            catalog.register("g", g)
+            assert r.result == catalog.serve(DistanceQuery("g", 0, 1)).result
+        finally:
+            server.shutdown()
+            pool.close()
+        assert [f["verb"] for f in frames] == ["ping", "query"]
+        assert all("trace" not in f for f in frames)
+        [query_cmd] = [m for m in commands if m[0] == "query"]
+        assert query_cmd[4] is None  # the trace context slot
+        assert obs.registry().snapshot() == {}
+
+
+# ----------------------------------------------------------------------
+# one gate: outside repro.obs the switch is read only where it chooses
+# behaviour, never to guard a metric write or a trace hop
+# ----------------------------------------------------------------------
+#: (module under src/repro, enclosing function) -> reads allowed there
+_SWITCH_READS = {
+    # fork workers in shipping mode, re-broadcast a toggle
+    ("server/pool.py", "WarmWorkerPool.start"): 1,
+    ("server/pool.py", "WarmWorkerPool.sync_obs"): 1,
+    # the stats ``metrics`` section and SLO evaluation exist only on
+    ("server/pool.py", "WarmWorkerPool.stats"): 1,
+    ("server/pool.py", "WarmWorkerPool.health"): 1,
+    # the flight recorder is created only with the layer on
+    ("server/app.py", "QueryServer.__init__"): 1,
+    # the warm hit is a few µs: one flag read, two bodies (bench_obs)
+    ("service/queries.py", "execute_query"): 1,
+}
+
+
+def test_switch_read_only_at_allowlisted_sites():
+    """Outside ``repro/obs/``, ``obs.enabled()`` / ``_obs_trace._enabled``
+    is read (or ``enabled`` imported from ``repro.obs``) only at the
+    allowlisted ``(module, enclosing function)`` sites."""
+    import ast
+    from collections import Counter
+    from pathlib import Path
+
+    reads = Counter()
+
+    def visit(node, rel, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            read = (isinstance(child, ast.Attribute)
+                    and child.attr in ("enabled", "_enabled")
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id in ("obs", "_obs_trace", "trace"))
+            imported = (isinstance(child, ast.ImportFrom)
+                        and (child.module or "").startswith("repro.obs")
+                        and any(a.name in ("enabled", "_enabled")
+                                for a in child.names))
+            if read or imported:
+                reads[(rel, ".".join(scope))] += 1
+            visit(child, rel, inner)
+
+    root = Path(SRC, "repro")
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if not rel.startswith("obs/"):
+            visit(ast.parse(path.read_text(encoding="utf-8")), rel, ())
+    assert dict(reads) == _SWITCH_READS

@@ -237,22 +237,21 @@ class TestCatalogSnapshot:
         assert list(again.prim_darts) == list(compiled.prim_darts)
         assert again is compile_graph(restored.get("g").graph)
 
-    def test_workspace_pools_rebuilt_per_restore_not_shipped(self):
+    def test_unpicklable_artifacts_are_skipped_not_shipped(self):
+        import threading
+
         g = make_grid()
         catalog = GraphCatalog()
         catalog.register("g", g)
-        pool = catalog.get("g").flow_workspace_pool()
-        with pool.lease():
-            pass
+        key = ("lock", "g")
+        lock = catalog._artifact(key, threading.Lock)
+        assert catalog._artifact(key, threading.Lock) is lock  # cached
         snap = catalog.snapshot()
-        assert ("flow-pool", "g") in snap.skipped
-        assert all(key != ("flow-pool", "g") for key, _ in snap.artifacts)
+        assert key in snap.skipped
+        assert all(k != key for k, _ in snap.artifacts)
         restored = pickle.loads(pickle.dumps(snap)).restore()
-        fresh = restored.get("g").flow_workspace_pool()
-        assert fresh is not pool
-        assert fresh.created == 0  # rebuilt lazily, not inherited
-        with fresh.lease() as ws:
-            assert ws is not None
+        q = DistanceQuery("g", 0, 5)
+        assert restored.serve(q).result == catalog.serve(q).result
 
     def test_memoized_results_ship_warm(self):
         g = make_grid()

@@ -34,7 +34,6 @@ from repro.service import (
     GirthQuery,
     GraphCatalog,
     QueryPlanner,
-    WorkspacePool,
     default_dual_lengths,
     run_batch,
     run_sharded,
@@ -632,38 +631,6 @@ class TestPlanner:
                                               backend="vroom"), g)
         with pytest.raises(ServiceError):
             QueryPlanner(default_backend="vroom")
-
-
-# ----------------------------------------------------------------------
-# workspace pools
-# ----------------------------------------------------------------------
-class TestWorkspacePool:
-    def test_lease_reuses_instances(self):
-        built = []
-        pool = WorkspacePool(lambda: built.append(1) or object())
-        with pool.lease() as ws1:
-            pass
-        with pool.lease() as ws2:
-            assert ws2 is ws1
-        assert pool.created == 1 and len(pool) == 1
-
-    def test_concurrent_leases_get_distinct_instances(self):
-        pool = WorkspacePool(object)
-        a = pool.acquire()
-        b = pool.acquire()
-        assert a is not b and pool.created == 2
-        pool.release(a)
-        pool.release(b)
-        assert len(pool) == 2
-
-    def test_catalog_pools_are_cached_artifacts(self):
-        cat = GraphCatalog()
-        entry = cat.register("g", make_grid())
-        assert entry.flow_workspace_pool() is entry.flow_workspace_pool()
-        with entry.flow_workspace_pool().lease() as ws:
-            assert ws.compiled is entry.compiled()
-        assert entry.dijkstra_workspace_pool() \
-            is entry.dijkstra_workspace_pool()
 
 
 # ----------------------------------------------------------------------
