@@ -26,10 +26,10 @@ Two modes:
      edge ids (a *localized* weight change — the congestion-update
      shape incremental repair exists for): only the bags whose dual
      contains a touched dart recompute, the rest of the labeling is
-     reused (p50/p99 over many rounds).  Scattering the same number
-     of edges across the whole grid instead dirties most of the bag
-     tree (every touched leaf drags in its ancestors) and correctly
-     falls back to a rebuild — pass ``--scatter`` to see that.
+     reused (p50/p99 over many rounds).  ``--scatter`` spreads the
+     same number of edges across the whole grid instead, which dirties
+     most of the bag tree (every touched leaf drags in its ancestors);
+     those rounds are repairs too.
 
   Acceptance: the median rebuild over the median reprice of
   <= ``--edges`` edges is >= 5x (each side's range is reported with
@@ -100,8 +100,7 @@ def main(argv=None):
                          "contiguous id run: one grid locality)")
     ap.add_argument("--scatter", action="store_true",
                     help="mutate random edges across the whole grid "
-                         "instead of one locality (expect the "
-                         "over-threshold rebuild fallback)")
+                         "instead of one locality")
     ap.add_argument("--rounds", type=int, default=20,
                     help="reprice rounds (p50/p99 over these)")
     ap.add_argument("--rebuilds", type=int, default=3,
@@ -136,7 +135,7 @@ def main(argv=None):
 
     # -- 2. interleaved samples: each round times one delta reprice (a
     #       localized edge run repaired in place — every round verified
-    #       to have taken the repair path); ``--rebuilds`` rounds,
+    #       to be a repair); ``--rebuilds`` rounds,
     #       spread evenly, first time a full rebuild after a
     #       set_weights teardown — what a reprice costs without §11
     rebuild_at = {k * args.rounds // max(1, args.rebuilds)
@@ -160,19 +159,11 @@ def main(argv=None):
         report = catalog.mutate_weights(name, edges)
         reprice_s.append(time.perf_counter() - t0)
         (row,) = report["labelings"]
-        if args.scatter and row["action"] == "rebuild":
-            print(f"scattered mutation over threshold "
-                  f"({row['dirty_bags']}/{row['total_bags']} bags "
-                  f"dirty): rebuild fallback — as designed")
-            entry.labeling(leaf_size=leaf)  # pay it, keep measuring
-            reprice_s.pop()
-            continue
-        assert row["action"] == "repaired", \
-            f"reprice fell back to a rebuild: {row}"
+        assert row["action"] == "repaired", f"reprice not repaired: {row}"
         dirty, total = row["dirty_bags"], row["total_bags"]
     if not reprice_s or not rebuild_s:
-        print("no round took the repair path, or no rebuild was "
-              "timed; nothing to report")
+        print("no reprice round or no rebuild was timed; nothing to "
+              "report")
         return 1
     rebuild_s.sort()
     reprice_s.sort()

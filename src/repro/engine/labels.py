@@ -68,10 +68,11 @@ dart's length — the bags whose dual contains the dart as an arc — is
 ancestor-closed (live darts nest upward, and ``sx_arc_darts ⊆
 arc_darts`` per :func:`repro.bdd.dual_bags.build_dual_bag`).  So a
 clean bag's whole subtree is clean and its labels are exactly what a
-full rebuild would produce.  :func:`repair_dual_labels_engine` walks
-the same level order recomputing only the dirty bags; inside a dirty
-internal bag it reuses the recorded anchored-SSSP matrices of clean
-children (the dominant per-bag cost) and skips re-labeling a clean
+full rebuild would produce.  A build and a repair run one level loop
+(:func:`_relabel`), and a build is a repair with every bag dirty.
+Inside a dirty internal bag a repair reuses the recorded anchored-SSSP
+matrices of clean children (the dominant per-bag cost) and skips
+re-labeling a clean
 child's nodes outright when that child's DDG boundary rows
 (``m_out`` / ``m_in``) come back unchanged.  Clean bags cannot raise
 (their inputs are unchanged and the previous build succeeded), and
@@ -84,7 +85,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
+from collections import deque, namedtuple
 
 from repro import obs
 from repro._artifacts import shared_cache, topo_token
@@ -475,19 +476,11 @@ def compile_labeling_bags(bdd, duals=None):
     return shared_cache().get_or_build(key, build)
 
 
-class _InternalRepair:
-    """Weight-dependent repair state of one internal bag: the anchored
-    child SSSP matrices and the per-child DDG boundary rows of the last
-    successful build.  Lives on the *labeling* instance (per weight
-    vector), never inside the shared topology-only compilation."""
-
-    __slots__ = ("fwd", "back", "m_out", "m_in")
-
-    def __init__(self, num_children):
-        self.fwd = [None] * num_children
-        self.back = [None] * num_children
-        self.m_out = [None] * num_children
-        self.m_in = [None] * num_children
+#: Weight-dependent repair state of one internal bag: the anchored
+#: child SSSP matrices and the per-child DDG boundary rows of its last
+#: labeling.  Lives on the *labeling* instance (per weight vector),
+#: never inside the shared topology-only compilation.
+_InternalRepair = namedtuple("_InternalRepair", "fwd back m_out m_in")
 
 
 #: marks a clean child whose node labels were verified unchanged and
@@ -503,27 +496,18 @@ def build_dual_labels_engine(labeling, compiled=None):
     to the legacy backend's bit for bit on integral lengths) using the
     compiled bag arrays (see the module docstring).
 
-    When the labeling carries a repair-state dict
-    (``labeling._repair`` is not ``None`` — see
-    ``DualDistanceLabeling(repair_state=True)``), the per-bag child
-    SSSP matrices and DDG boundary rows are recorded as they are
-    computed, arming :func:`repair_dual_labels_engine`.
+    A build is a repair with every bag dirty: it runs the same level
+    loop, and records the per-bag child SSSP matrices and DDG boundary
+    rows in ``labeling._repair`` as they are computed, arming
+    :func:`repair_dual_labels_engine`.
     """
     if compiled is None:
         compiled = compile_labeling_bags(labeling.bdd, labeling.duals)
-    lengths = dart_length_table(labeling.lengths, labeling.graph.num_darts)
-    labels = labeling._labels
-    state = getattr(labeling, "_repair", None)
-    with obs.span("labeling.build",
-                  bags=sum(len(lv) for lv in compiled.levels)):
-        for level in compiled.levels:
-            for bag_id, is_leaf in level:
-                if is_leaf:
-                    _label_leaf(compiled, bag_id, lengths, labels)
-                else:
-                    _label_internal(compiled, bag_id, lengths, labels,
-                                    state=state)
-    return labels
+    labeling._repair = {}
+    every = {bag_id for level in compiled.levels for bag_id, _ in level}
+    with obs.span("labeling.build", bags=len(every)):
+        _relabel(labeling, compiled, every)
+    return labeling._labels
 
 
 def dirty_bags(compiled, darts):
@@ -543,47 +527,45 @@ def dirty_bags(compiled, darts):
     return dirty
 
 
-def repair_dual_labels_engine(labeling, changed, compiled=None,
-                              dirty=None):
-    """Apply the dart-length ``changed`` mapping to ``labeling`` by
-    recomputing only the dirty bags, in the legacy level order.
+def repair_dual_labels_engine(labeling, changed):
+    """Apply the dart-length ``changed`` mapping to a labeling built by
+    :func:`build_dual_labels_engine`, recomputing only the dirty bags.
 
-    Requires a labeling built with repair state (see
-    :func:`build_dual_labels_engine`).  Returns a stats dict.  On
-    :class:`NegativeCycleError` the raise site matches a full rebuild
-    bit for bit, but the labeling is left *corrupt* (partially
-    repriced) — the caller must discard it.
+    Returns a stats dict.  On :class:`NegativeCycleError` the raise
+    site matches a full rebuild bit for bit, but the labeling is left
+    *corrupt* (partially repriced) — the caller must discard it.
     """
-    if compiled is None:
-        compiled = compile_labeling_bags(labeling.bdd, labeling.duals)
-    state = getattr(labeling, "_repair", None)
-    if state is None:
-        raise ValueError("labeling has no repair state; construct it "
-                         "with repair_state=True to enable "
-                         "delta repair")
-    if dirty is None:
-        dirty = dirty_bags(compiled, changed)
+    compiled = compile_labeling_bags(labeling.bdd, labeling.duals)
+    dirty = dirty_bags(compiled, changed)
     labeling.lengths.update(changed)
+    with obs.span("labeling.repair", changed=len(changed),
+                  dirty=len(dirty)):
+        return {"changed_darts": len(changed),
+                **_relabel(labeling, compiled, dirty)}
+
+
+def _relabel(labeling, compiled, dirty):
+    """The one level loop of a build and a repair: recompute the
+    ``dirty`` bags in the legacy level order (deepest level first), so
+    the first :class:`NegativeCycleError` is the legacy one.  Returns
+    the recompute counters."""
     lengths = dart_length_table(labeling.lengths, labeling.graph.num_darts)
-    labels = labeling._labels
-    stats = {"changed_darts": len(changed),
-             "dirty_bags": len(dirty),
+    stats = {"dirty_bags": len(dirty),
              "total_bags": sum(len(lv) for lv in compiled.levels),
              "repaired_leaves": 0, "repaired_internal": 0,
              "sssp_children": 0, "reused_children": 0}
-    with obs.span("labeling.repair", changed=len(changed),
-                  dirty=len(dirty)):
-        for level in compiled.levels:
-            for bag_id, is_leaf in level:
-                if bag_id not in dirty:
-                    continue
-                if is_leaf:
-                    _label_leaf(compiled, bag_id, lengths, labels)
-                    stats["repaired_leaves"] += 1
-                else:
-                    _label_internal(compiled, bag_id, lengths, labels,
-                                    state=state, dirty=dirty, stats=stats)
-                    stats["repaired_internal"] += 1
+    for level in compiled.levels:
+        for bag_id, is_leaf in level:
+            if bag_id not in dirty:
+                continue
+            if is_leaf:
+                _label_leaf(compiled, bag_id, lengths, labeling._labels)
+                stats["repaired_leaves"] += 1
+            else:
+                _label_internal(compiled, bag_id, lengths,
+                                labeling._labels, labeling._repair,
+                                dirty, stats)
+                stats["repaired_internal"] += 1
     return stats
 
 
@@ -881,20 +863,14 @@ def _ddg_stage_py(compiled, rec, fwd, lengths):
     return fd, self_dist, m_out_c, m_in_c
 
 
-def _label_internal(compiled, bag_id, lengths, labels, state=None,
-                    dirty=None, stats=None):
+def _label_internal(compiled, bag_id, lengths, labels, state, dirty,
+                    stats):
     from repro.labeling.labels import Label, LabelEntry
 
     rec = compiled.internal[bag_id]
     f_x = rec.f_x
     nfx = len(f_x)
-    repairing = dirty is not None
-    rep = None
-    if state is not None:
-        rep = state.get(bag_id)
-        if rep is None:
-            rep = _InternalRepair(len(rec.children))
-            state[bag_id] = rep
+    old = state.get(bag_id)  # None while building: every child dirty
 
     # ---- child anchored SSSPs (forward + reverse per child) ----------
     # A clean child's slice lengths are untouched, so its recorded
@@ -907,23 +883,16 @@ def _label_internal(compiled, bag_id, lengths, labels, state=None,
             fwd.append(None)
             back.append(None)
             continue
-        if repairing and child.bag_id not in dirty:
-            fwd.append(rep.fwd[ci])
-            back.append(rep.back[ci])
-            if stats is not None:
-                stats["reused_children"] += 1
+        if child.bag_id not in dirty:
+            fwd.append(old.fwd[ci])
+            back.append(old.back[ci])
+            stats["reused_children"] += 1
             continue
         sl = compiled.slices[child.bag_id]
         fwd.append(sl.batched_sssp(lengths, child.cf_local))
         back.append(sl.batched_sssp(lengths, child.cf_local,
                                     reverse=True))
-        if stats is not None:
-            stats["sssp_children"] += 1
-    old_m_out = rep.m_out if rep is not None else None
-    old_m_in = rep.m_in if rep is not None else None
-    if rep is not None:
-        rep.fwd = fwd
-        rep.back = back
+        stats["sssp_children"] += 1
 
     # ---- DDG: assemble, relax, F_X part-group minima -----------------
     if _np is not None:
@@ -957,17 +926,17 @@ def _label_internal(compiled, bag_id, lengths, labels, state=None,
             # no F_X face lives in this child: this bag's entries are
             # all-inf regardless of weights, but the chained child
             # entries still change when the child is dirty
-            keep = repairing and child.bag_id not in dirty
+            keep = child.bag_id not in dirty
             d_out_c.append(_REUSED if keep else None)
             d_in_c.append(None)
             viol_c.append(None)
             continue
-        if repairing and child.bag_id not in dirty:
+        if child.bag_id not in dirty:
             if _np is not None:
-                same = (_np.array_equal(old_m_out[ci], m_out)
-                        and _np.array_equal(old_m_in[ci], m_in))
+                same = (_np.array_equal(old.m_out[ci], m_out)
+                        and _np.array_equal(old.m_in[ci], m_in))
             else:
-                same = old_m_out[ci] == m_out and old_m_in[ci] == m_in
+                same = old.m_out[ci] == m_out and old.m_in[ci] == m_in
             if same:
                 # clean child + unchanged boundary rows: every node
                 # label this child owns is a pure function of (fwd,
@@ -1027,9 +996,7 @@ def _label_internal(compiled, bag_id, lengths, labels, state=None,
         d_out_c.append(_matrix_scalars(do))
         d_in_c.append(_matrix_scalars(di))
         viol_c.append(viol)
-    if rep is not None:
-        rep.m_out = m_out_c
-        rep.m_in = m_in_c
+    state[bag_id] = _InternalRepair(fwd, back, m_out_c, m_in_c)
 
     # ---- node labels in legacy (sorted) order ------------------------
     for ni, f in enumerate(rec.node_list):

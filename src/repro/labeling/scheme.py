@@ -95,25 +95,20 @@ class DualDistanceLabeling:
         simulation above; ``"engine"`` — the compiled-array builder of
         :mod:`repro.engine.labels`, which produces bit-identical labels
         (including :class:`NegativeCycleError` sites) from cached
-        per-bag CSR slices and batched Bellman–Ford kernels.
-    repair_state:
-        Engine backend only.  Record the per-bag child SSSP matrices
-        and DDG boundary rows during construction so that
-        :meth:`reprice` can delta-repair the labels after a weight
-        mutation instead of rebuilding from scratch (DESIGN.md §11).
-        Costs O(total label words) extra memory.
+        per-bag CSR slices and batched Bellman–Ford kernels.  An
+        engine build also records the per-bag child SSSP matrices and
+        DDG boundary rows, so that :meth:`reprice` can delta-repair
+        the labels after a weight mutation (DESIGN.md §11); that
+        costs O(total label words) extra memory.
     """
 
     BACKENDS = ("legacy", "engine")
 
     def __init__(self, bdd, lengths, duals=None, ledger=None,
-                 backend="legacy", repair_state=False):
+                 backend="legacy"):
         if backend not in self.BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; "
                              f"expected one of {self.BACKENDS}")
-        if repair_state and backend != "engine":
-            raise ValueError("repair_state=True requires "
-                             "backend='engine'")
         self.bdd = bdd
         self.graph = bdd.graph
         self.lengths = lengths
@@ -123,8 +118,8 @@ class DualDistanceLabeling:
         #: (bag_id, face) -> Label (in that bag's dual)
         self._labels = {}
         self._decode_cache = {}
-        #: bag_id -> engine repair state, or None (repair disabled)
-        self._repair = {} if repair_state else None
+        #: bag_id -> engine repair state (None on the legacy backend)
+        self._repair = None
         if backend == "engine":
             from repro.engine.labels import build_dual_labels_engine
 
@@ -151,9 +146,9 @@ class DualDistanceLabeling:
                 for f in sorted(self.duals[root].nodes)]
 
     # ------------------------------------------------------------------
-    def reprice(self, changes, max_dirty_frac=None):
+    def reprice(self, changes):
         """Delta-repair the labels after a dart-length mutation
-        (DESIGN.md §11).  Requires ``repair_state=True``.
+        (DESIGN.md §11).  Engine backend only.
 
         ``changes`` maps global dart -> new length.  No-op entries
         (already at that length) are dropped; the remaining darts
@@ -166,37 +161,18 @@ class DualDistanceLabeling:
         (message and ``where``) — but after such a raise the labeling
         is corrupt (partially repriced) and must be discarded.
 
-        ``max_dirty_frac``: when set and the dirty set exceeds that
-        fraction of the bags, nothing is touched and the returned stats
-        have ``repaired=False`` — the caller should do a full rebuild
-        instead (the repair would not beat it).  Returns a stats dict
-        (``repaired``, ``changed_darts``, ``dirty_bags``,
-        ``total_bags``, and — after a repair — per-kind recompute
-        counters).
+        Returns a stats dict (``changed_darts``, ``dirty_bags``,
+        ``total_bags`` and per-kind recompute counters).
         """
         if self._repair is None:
             raise ValueError("reprice() requires a labeling built "
-                             "with repair_state=True")
-        from repro.engine.labels import (
-            compile_labeling_bags,
-            dirty_bags,
-            repair_dual_labels_engine,
-        )
+                             "with backend='engine'")
+        from repro.engine.labels import repair_dual_labels_engine
 
-        changed = {d: v for d, v in changes.items()
-                   if self.lengths.get(d) != v}
-        compiled = compile_labeling_bags(self.bdd, self.duals)
-        dirty = dirty_bags(compiled, changed)
-        total = sum(len(lv) for lv in compiled.levels)
-        if (max_dirty_frac is not None and total
-                and len(dirty) > max_dirty_frac * total):
-            return {"repaired": False, "changed_darts": len(changed),
-                    "dirty_bags": len(dirty), "total_bags": total}
-        stats = repair_dual_labels_engine(self, changed,
-                                          compiled=compiled,
-                                          dirty=dirty)
+        stats = repair_dual_labels_engine(
+            self, {d: v for d, v in changes.items()
+                   if self.lengths.get(d) != v})
         self._decode_cache.clear()
-        stats["repaired"] = True
         return stats
 
     # ------------------------------------------------------------------

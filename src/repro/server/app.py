@@ -199,11 +199,8 @@ class QueryServer:
         if not isinstance(edges, list):
             raise ProtocolError("mutate_weights frame needs an "
                                 "'edges' [[eid, weight], ...] list")
-        kwargs = {}
-        if frame.get("max_dirty_frac") is not None:
-            kwargs["max_dirty_frac"] = frame["max_dirty_frac"]
         return {"report": self.pool.mutate_weights(frame.get("graph"),
-                                                   edges, **kwargs)}
+                                                   edges)}
 
     def _on_audit(self, frame):
         return {"report": self.pool.audit_labeling(

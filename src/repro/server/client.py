@@ -238,7 +238,7 @@ class ServiceClient:
         return self._call("set_weights", graph=name, weights=weights,
                           capacities=capacities)["repriced"]
 
-    def mutate_weights(self, name, edges, max_dirty_frac=None):
+    def mutate_weights(self, name, edges):
         """Delta-reprice a few edges pool-wide (DESIGN.md §11):
         cached labelings are repaired in place server-side instead of
         rebuilt.  ``edges`` maps edge id -> new weight (or is an
@@ -247,11 +247,8 @@ class ServiceClient:
         :class:`~repro.errors.NegativeCycleError` (message and
         ``where``) a local build would."""
         items = edges.items() if hasattr(edges, "items") else edges
-        payload = {"graph": name,
-                   "edges": [[eid, w] for eid, w in items]}
-        if max_dirty_frac is not None:
-            payload["max_dirty_frac"] = max_dirty_frac
-        return self._call("mutate_weights", **payload)["report"]
+        return self._call("mutate_weights", graph=name,
+                          edges=[[eid, w] for eid, w in items])["report"]
 
     def audit_labeling(self, name, leaf_size=None, backend="engine"):
         """Debug verb: server-side bit-parity audit of ``name``'s

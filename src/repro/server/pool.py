@@ -143,10 +143,9 @@ def _worker_main(worker_id, catalog, snapshot, command_q, result_q,
             except Exception:
                 pass
         elif verb == "mutate_weights":
-            _, name, edges, max_dirty_frac = msg
+            _, name, edges = msg
             try:
-                catalog.mutate_weights(name, edges,
-                                       max_dirty_frac=max_dirty_frac)
+                catalog.mutate_weights(name, edges)
             except Exception:
                 # same contract as set_weights: the master already
                 # validated; a NegativeCycleError here still applied
@@ -510,7 +509,7 @@ class WarmWorkerPool:
                                      capacities=capacities)
         self._broadcast(("set_weights", name, weights, capacities))
 
-    def mutate_weights(self, name, edges, max_dirty_frac=0.5):
+    def mutate_weights(self, name, edges):
         """Delta-reprice a few edges pool-wide (DESIGN.md §11):
         :meth:`~repro.service.catalog.GraphCatalog.mutate_weights` on
         the master catalog, then the same mutation broadcast to every
@@ -530,13 +529,11 @@ class WarmWorkerPool:
             else [tuple(item) for item in edges]
         with self._lock:  # serialize against in-process query serving
             try:
-                report = self.catalog.mutate_weights(
-                    name, edges, max_dirty_frac=max_dirty_frac)
+                report = self.catalog.mutate_weights(name, edges)
             except NegativeCycleError:
-                self._broadcast(("mutate_weights", name, edges,
-                                 max_dirty_frac))
+                self._broadcast(("mutate_weights", name, edges))
                 raise
-        self._broadcast(("mutate_weights", name, edges, max_dirty_frac))
+        self._broadcast(("mutate_weights", name, edges))
         return report
 
     def audit_labeling(self, name, leaf_size=None, backend="engine",

@@ -165,9 +165,7 @@ class CatalogEntry:
                 shared_cache())
             return DualDistanceLabeling(bdd,
                                         default_dual_lengths(self.graph),
-                                        duals=duals, backend=backend,
-                                        repair_state=(backend
-                                                      == "engine"))
+                                        duals=duals, backend=backend)
 
         return self.catalog._artifact(key, build)
 
@@ -271,16 +269,24 @@ class GraphCatalog:
     def set_weights(self, name, weights=None, capacities=None):
         """Mutate a registered graph's weights/capacities in place and
         invalidate its dead artifacts in one step — the supported way to
-        reprice a served graph."""
+        reprice a served graph.  Every value must be a finite ``int`` or
+        ``float``; all of them are checked before anything is written."""
         g = self.get(name).graph
         weights = None if weights is None else list(weights)
         capacities = None if capacities is None else list(capacities)
         for label, values in (("weights", weights),
                               ("capacities", capacities)):
-            if values is not None and len(values) != g.m:
+            if values is None:
+                continue
+            if len(values) != g.m:
                 raise ServiceError(
                     f"{label} for {name!r} must have one entry per "
                     f"edge (got {len(values)}, graph has m={g.m})")
+            for eid, v in enumerate(values):
+                if not _finite_number(v):
+                    raise ServiceError(
+                        f"set_weights({name!r}): {label}[{eid}] must "
+                        f"be a finite number, got {v!r}")
         if weights is not None:
             g.weights[:] = weights
         if capacities is not None:
@@ -288,7 +294,7 @@ class GraphCatalog:
         obs.inc("catalog.set_weights")
         return self.invalidate(name)
 
-    def mutate_weights(self, name, edges, max_dirty_frac=0.5):
+    def mutate_weights(self, name, edges):
         """Reprice a few edges of a registered graph by *delta repair*
         instead of the full :meth:`set_weights` teardown (DESIGN.md
         §11).
@@ -301,9 +307,8 @@ class GraphCatalog:
           place via :meth:`~repro.labeling.DualDistanceLabeling.
           reprice` — only the bags whose dual contains a touched dart
           are recomputed — and re-keys it under the new weight
-          fingerprint (falling back to *drop + rebuild on next query*
-          when the dirty set exceeds ``max_dirty_frac`` of the bags,
-          or when a labeling carries no repair state);
+          fingerprint; a legacy labeling is dropped and rebuilt by the
+          next query;
         * **migrates** memoized flow/cut results to the new weight
           version (they read capacities, not weights — still warm) and
           drops the weight-dependent distance/girth results;
@@ -317,7 +322,7 @@ class GraphCatalog:
         applied, exactly as a fresh build would find them.
         """
         with obs.span("catalog.mutate_weights", graph=name) as sp:
-            report = self._mutate_weights(name, edges, max_dirty_frac)
+            report = self._mutate_weights(name, edges)
             dirty = sum(row.get("dirty_bags", 0)
                         for row in report["labelings"])
             obs.inc("catalog.mutations")
@@ -326,7 +331,7 @@ class GraphCatalog:
             sp.tag(changed=report["changed_edges"], dirty_bags=dirty)
             return report
 
-    def _mutate_weights(self, name, edges, max_dirty_frac):
+    def _mutate_weights(self, name, edges):
         entry = self.get(name)
         g = entry.graph
         updates = _edge_updates(name, g, edges)
@@ -358,13 +363,11 @@ class GraphCatalog:
             self.artifacts.discard(key)
             row = {"leaf_size": key[3], "backend": key[4]}
             report["labelings"].append(row)
-            if key[4] != "engine" \
-                    or getattr(lab, "_repair", None) is None:
+            if key[4] != "engine":
                 row["action"] = "dropped"
                 continue
             try:
-                stats = lab.reprice(changed,
-                                    max_dirty_frac=max_dirty_frac)
+                stats = lab.reprice(changed)
             except NegativeCycleError:
                 # the partial repair left ``lab`` corrupt, and a fresh
                 # build would raise the same error anyway: make every
@@ -372,15 +375,10 @@ class GraphCatalog:
                 self.artifacts.invalidate(
                     lambda k: k[0] == "labeling" and k[1] == name)
                 raise
-            if stats.pop("repaired"):
-                row["action"] = "repaired"
-                row.update(stats)
-                self.artifacts.put(
-                    ("labeling", name, new_fp.weights, key[3], key[4]),
-                    lab)
-            else:
-                row["action"] = "rebuild"  # over threshold: next query
-                row.update(stats)          # builds from scratch
+            row["action"] = "repaired"
+            row.update(stats)
+            self.artifacts.put(
+                ("labeling", name, new_fp.weights, key[3], key[4]), lab)
         return report
 
     def _migrate_results(self, name, old_fp, new_fp):
@@ -570,6 +568,14 @@ class GraphCatalog:
         )
 
 
+def _finite_number(value):
+    """A weight or capacity must be a finite ``int`` or ``float``
+    (``bool`` is an ``int`` subclass, but never a weight)."""
+    if isinstance(value, int):
+        return not isinstance(value, bool)
+    return isinstance(value, float) and math.isfinite(value)
+
+
 def _edge_updates(name, graph, edges):
     """Validate a ``mutate_weights`` edge mapping -> {eid: weight}."""
     items = edges.items() if hasattr(edges, "items") else edges
@@ -586,8 +592,7 @@ def _edge_updates(name, graph, edges):
             raise ServiceError(
                 f"mutate_weights({name!r}): bad edge id {eid!r} "
                 f"(graph has m={graph.m})")
-        if isinstance(w, bool) or not isinstance(w, (int, float)) \
-                or not math.isfinite(w):
+        if not _finite_number(w):
             raise ServiceError(
                 f"mutate_weights({name!r}): edge {eid} weight must be "
                 f"a finite number, got {w!r}")

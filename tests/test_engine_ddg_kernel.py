@@ -81,7 +81,7 @@ for i, (maker, leaf) in enumerate(FAMILIES):
     cat.set_weights("g", [rng.choice(VALUES) for _ in range(g.m)])
     cat.get("g").labeling(leaf_size=leaf)
     edges = {e: rng.choice(VALUES[1:5]) for e in rng.sample(range(g.m), 3)}
-    report = cat.mutate_weights("g", edges, max_dirty_frac=1.0)
+    report = cat.mutate_weights("g", edges)
     assert [r["action"] for r in report["labelings"]] == ["repaired"], \
         report
     dump(f"repair{i}", cat.get("g").labeling(leaf_size=leaf)._labels)

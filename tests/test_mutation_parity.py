@@ -6,10 +6,10 @@ same label chains, same decoded distances (values AND Python types),
 and the same ``NegativeCycleError`` message/``where`` site when the
 mutated weights contain a negative dual cycle.
 
-Every test pins a small ``leaf_size``: at the default
+Most tests pin a small ``leaf_size``: at the default
 :func:`~repro.bdd.build.default_leaf_size` these graphs compile to a
-single bag, where ``mutate_weights`` always falls back to a rebuild
-and the repair path would never execute.
+single bag, where every write dirties the whole (one-bag) labeling and
+the clean-child reuse of a repair would never execute.
 """
 
 import random
@@ -99,8 +99,7 @@ def test_random_mutation_sequences_bit_parity(family, data):
             report = cat.mutate_weights("g", edges)
             assert all(g.weights[eid] == w for eid, w in edges.items())
             for row in report["labelings"]:
-                assert row["action"] in ("repaired", "rebuild",
-                                         "dropped")
+                assert row["action"] == "repaired"
         elif op == "set_weights":
             rng = random.Random(data.draw(st.integers(0, 10 ** 6),
                                           label="reseed"))
@@ -126,8 +125,7 @@ def test_negative_length_reprice_bit_parity(seed):
     base, phi, lengths = mixed_lengths(g, seed=seed)
     assert any(v < 0 for v in lengths.values())
     bdd = build_bdd(g, leaf_size=8 + seed % 5)
-    lab = DualDistanceLabeling(bdd, dict(lengths), backend="engine",
-                               repair_state=True)
+    lab = DualDistanceLabeling(bdd, dict(lengths), backend="engine")
     for _ in range(3):
         changes = {}
         if rng.random() < 0.5:  # re-draw one dart's base length
@@ -144,7 +142,8 @@ def test_negative_length_reprice_bit_parity(seed):
                                   - phi[g.face_of[d ^ 1]])
         lengths.update(changes)
         stats = lab.reprice(changes)
-        assert stats["repaired"] is True
+        assert stats["repaired_leaves"] + stats["repaired_internal"] \
+            == stats["dirty_bags"]
         ref = DualDistanceLabeling(bdd, dict(lengths),
                                    backend="engine")
         assert lab._labels == ref._labels
@@ -237,17 +236,29 @@ class TestDeltaRepair:
         assert cat.serve(fq).warm is True  # capacities untouched
         assert cat.serve(dq).warm is False  # weights changed
 
-    def test_over_threshold_falls_back_to_rebuild(self):
-        g = make_family("grid")
+    @pytest.mark.parametrize("make, eids", [
+        (lambda: make_family("grid"), [0]),  # one bag: all of it dirty
+        (lambda: randomize_weights(grid(24, 24), seed=11,
+                                   directed_capacities=True),
+         range(912, 920)),  # 5 of 7 bags dirty
+    ], ids=["single-bag", "grid24"])
+    def test_wide_write_is_repaired(self, make, eids):
+        """A write that dirties more than half the bags at the default
+        leaf size is repaired in place like any other, and the repair
+        equals a rebuild bit for bit."""
+        g = make()
         cat = GraphCatalog()
         cat.register("g", g)
-        cat.get("g").labeling(leaf_size=LEAF)
-        report = cat.mutate_weights("g", {0: g.weights[0] + 1},
-                                    max_dirty_frac=0.0)
+        lab = cat.get("g").labeling()
+        report = cat.mutate_weights(
+            "g", {eid: g.weights[eid] + 3 for eid in eids})
         (row,) = report["labelings"]
-        assert row["action"] == "rebuild"
+        assert row["action"] == "repaired"
+        assert 2 * row["dirty_bags"] > row["total_bags"]
+        assert cat.get("g").labeling() is lab
         nf = g.num_faces()
-        assert_bit_parity(cat, "g", g, [(0, nf - 1)])  # cold rebuild
+        assert_bit_parity(cat, "g", g, [(0, nf - 1), (nf // 2, 1)],
+                          leaf_size=None)
 
     def test_value_identical_mutation_is_a_no_op(self):
         g = make_family("grid")
@@ -326,11 +337,8 @@ class TestValidation:
         assert self.g.weights[1] == 2.5
 
     def test_reprice_requires_repair_state(self):
+        # only an engine labeling records repair state
         bdd = build_bdd(self.g, leaf_size=LEAF)
-        lab = DualDistanceLabeling(
-            bdd, default_dual_lengths(self.g), backend="engine")
-        with pytest.raises(ValueError, match="repair_state"):
+        lab = DualDistanceLabeling(bdd, default_dual_lengths(self.g))
+        with pytest.raises(ValueError, match="backend='engine'"):
             lab.reprice({0: 99})
-        with pytest.raises(ValueError, match="repair_state"):
-            DualDistanceLabeling(bdd, default_dual_lengths(self.g),
-                                 repair_state=True)  # legacy backend

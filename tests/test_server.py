@@ -467,7 +467,7 @@ def served():
     server = QueryServer(pool).start_background()
     host, port = server.address
     client = ServiceClient(host, port, timeout=60)
-    yield {"g": g, "server": server, "client": client,
+    yield {"g": g, "pool": pool, "server": server, "client": client,
            "host": host, "port": port}
     client.close()
     server.shutdown()
@@ -570,6 +570,45 @@ class TestServerEndToEnd:
                    for rep in audit["workers"].values())
         assert before == reference_results(g4, [q],
                                            name="wire-g4")[0]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True,
+                                     "3"])
+    def test_set_weights_bad_values_typed_error(self, served, bad):
+        # the master validates every value before writing any, so a
+        # bad last value leaves the graph, its fingerprint and the
+        # workers untouched
+        client = served["client"]
+        entry = served["pool"].catalog.get("g")
+        g = entry.graph
+        before = (list(g.weights), list(g.capacities), entry.fingerprint())
+        for field in ("weights", "capacities"):
+            values = list(getattr(g, field))
+            values[-1] = bad
+            with pytest.raises(ServiceError, match="finite number"):
+                client.set_weights("g", **{field: values})
+        assert (list(g.weights), list(g.capacities),
+                entry.fingerprint()) == before
+        q = FlowQuery("g", 0, g.n - 1)
+        assert client.query(q).result == reference_results(g, [q])[0]
+
+    def test_mutate_frame_with_max_dirty_frac_still_succeeds(self, served):
+        # an older client's frame may still carry the retired
+        # max_dirty_frac field; the server ignores it (protocol v1)
+        g8 = make_grid(5, 6, seed=25)
+        client = served["client"]
+        client.register("wire-g8", g8)
+        q = DistanceQuery("wire-g8", 0, g8.num_faces() - 1,
+                          leaf_size=10)
+        client.query(q)
+        w = g8.weights[1] + 5
+        report = client._call("mutate_weights", graph="wire-g8",
+                              edges=[[1, w]], max_dirty_frac=0.0)["report"]
+        assert report["changed_edges"] == 1
+        want = reference_results(
+            g8.copy(weights=[w if e == 1 else x
+                             for e, x in enumerate(g8.weights)]),
+            [q], name="wire-g8")[0]
+        assert client.query(q).result == want
 
     def test_mutate_unknown_graph_typed_error(self, served):
         with pytest.raises(ServiceError, match="unknown graph"):

@@ -257,6 +257,23 @@ class TestCatalog:
             cat.set_weights("g", capacities=[1] * (g.m + 3))
         assert g.weights == before  # rejected repricing left no trace
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True,
+                                     "3"])
+    def test_set_weights_rejects_non_finite_values(self, bad):
+        cat = GraphCatalog()
+        g = make_grid()
+        cat.register("g", g)
+        before = (list(g.weights), list(g.capacities),
+                  cat.get("g").fingerprint())
+        for field in ("weights", "capacities"):
+            # every value is checked before the first one is written
+            values = [v + 1 for v in getattr(g, field)]
+            values[-1] = bad
+            with pytest.raises(ServiceError, match="finite number"):
+                cat.set_weights("g", **{field: values})
+        assert (list(g.weights), list(g.capacities),
+                cat.get("g").fingerprint()) == before
+
     def test_unregister_frees_shared_cache_entries(self):
         cat = GraphCatalog()
         g = make_grid()
