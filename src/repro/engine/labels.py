@@ -5,15 +5,23 @@ round-audited CONGEST simulation: per bag it rebuilds dict-keyed dual
 arcs, runs hashable-node SPFA, and derives every child distance by
 *decoding* the child's label chain — faithful to the protocol, and by
 far the most expensive cold path left in the serving layer.  This
-module is its centralized fast path.  On integral lengths it produces
-**bit-identical labels** (the same :class:`~repro.labeling.labels.Label`
-chains, the same dict contents, the same
-:class:`~repro.errors.NegativeCycleError` messages and ``where``
-sites).  On non-integral float lengths the two backends may differ in
-the last bit, and an integral float sum comes back as an int here
-(legacy keeps ``1.0``): the legacy decodes child distances as sums of
-label entries, which associates path sums differently.  There are
-three compiled ingredients:
+module is its centralized fast path.  It keeps the labels as per-bag
+row tables, the *label store*: a leaf's APSP rows, and for an internal
+bag the ``F_X`` rows plus, per child, the rows of the nodes that child
+owns — Python scalars in ``F_X`` order, to and from.  A face's label is
+its chain of rows from the root down (:meth:`CompiledLabelingBags.
+chain`, topology only); :func:`decode_distance_engine` decodes a
+distance from two chains by index, and the
+:class:`~repro.labeling.labels.Label` objects are built only on demand
+(:func:`engine_labels`, :func:`engine_label`).  On integral lengths
+those are **bit-identical** to legacy's (the same chains, the same dict
+contents, the same :class:`~repro.errors.NegativeCycleError` messages
+and ``where`` sites).  On non-integral float lengths the two backends
+may differ in the last bit at the bags above the lowest internal level,
+and an integral float sum comes back as an int here (legacy keeps
+``1.0``): the legacy decodes child distances as sums of label entries,
+which associates path sums differently.  There are three compiled
+ingredients:
 
 * :class:`CompiledBagSlice` — the dual of one bag as a CSR sub-array
   sliced out of the global topology: local int node/dart ids (with the
@@ -36,6 +44,8 @@ three compiled ingredients:
   so the builder runs one forward and one reverse batched SSSP over the
   child's slice anchored at ``F_X ∩ c`` and reads the clique lengths
   and every node-to-anchor distance straight out of the two matrices.
+  A leaf child relabeled in the same pass needs neither: its APSP
+  already holds both, as its rows and columns at the anchors.
 
 * the DDG relaxation.  With numpy, the clique/S_X/zero arcs are
   assembled as one dense ``P x P`` matrix (parallel arcs min-reduced)
@@ -71,9 +81,8 @@ clean bag's whole subtree is clean and its labels are exactly what a
 full rebuild would produce.  A build and a repair run one level loop
 (:func:`_relabel`), and a build is a repair with every bag dirty.
 Inside a dirty internal bag a repair reuses the recorded anchored-SSSP
-matrices of clean children (the dominant per-bag cost) and skips
-re-labeling a clean
-child's nodes outright when that child's DDG boundary rows
+matrices of clean children (the dominant per-bag cost) and keeps a
+clean child's stored rows outright when that child's DDG boundary rows
 (``m_out`` / ``m_in``) come back unchanged.  Clean bags cannot raise
 (their inputs are unchanged and the previous build succeeded), and
 dirty bags run in the legacy order, so the first
@@ -86,6 +95,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque, namedtuple
+from operator import add
 
 from repro import obs
 from repro._artifacts import shared_cache, topo_token
@@ -95,7 +105,7 @@ from repro.engine.workspace import FlowWorkspace, _as_scalar, _dart_array
 from repro.errors import DecompositionError, NegativeCycleError
 from repro.planar.graph import rev
 
-# Label / LabelEntry are imported lazily inside the builders:
+# Label / LabelEntry are imported lazily inside the readers:
 # repro.labeling imports repro.engine (for the SSSP fast path), so a
 # module-level import here would close an import cycle.
 
@@ -294,10 +304,10 @@ class _ChildRec:
 class CompiledInternalBag:
     """Int-indexed Section 5.3 structures of one non-leaf bag."""
 
-    __slots__ = ("bag_id", "f_x", "node_list", "owner_pos", "owner_idx",
-                 "children", "num_parts", "group_bounds", "sx_arcs",
-                 "zero_links", "group_starts", "group_nonempty",
-                 "sx_index", "sx_darts", "zero_index")
+    __slots__ = ("bag_id", "f_x", "node_list", "locate", "children",
+                 "num_parts", "group_bounds", "sx_arcs", "zero_links",
+                 "group_starts", "group_nonempty", "sx_index",
+                 "sx_darts", "zero_index")
 
     def __init__(self, bag, dual, duals, compiled_slices, graph):
         self.bag_id = bag.bag_id
@@ -355,28 +365,20 @@ class CompiledInternalBag:
             self._index_arrays()
 
         child_pos = {c.bag_id: i for i, c in enumerate(bag.children)}
-        node_list = sorted(dual.nodes)
-        self.node_list = node_list
-        #: per node: -1 = F_X face, -2 = no owning child (legacy
-        #: DecompositionError), else index into ``children``
-        owner_pos = []
-        owner_idx = []
-        for f in node_list:
-            if f in dual.f_x:
-                owner_pos.append(-1)
-                owner_idx.append(-1)
+        self.node_list = sorted(dual.nodes)
+        #: face -> (block, row) of its label row in this bag's tables:
+        #: block 0 row j for ``f_x[j]``, block ``1 + ci`` row ``r`` for
+        #: a node owned by child ``ci`` at slice index ``r``; a node
+        #: with no owning child (legacy DecompositionError) has none
+        locate = {f: (0, j) for j, f in enumerate(f_x)}
+        for f in self.node_list:
+            if f in locate:
                 continue
             c = dual.child_of_node[f]
-            if c is None:
-                owner_pos.append(-2)
-                owner_idx.append(-1)
-            else:
-                owner_pos.append(child_pos[c.bag_id])
-                owner_idx.append(
-                    compiled_slices[c.bag_id].index[f])
-        self.owner_pos = owner_pos
-        self.owner_idx = owner_idx
-
+            if c is not None:
+                locate[f] = (1 + child_pos[c.bag_id],
+                             compiled_slices[c.bag_id].index[f])
+        self.locate = locate
 
     def _index_arrays(self):
         """Array forms of the DDG structures for the vectorized stage:
@@ -431,6 +433,44 @@ class CompiledLabelingBags:
             default=0)
         self._ddg_ws = None
         self._bags_of_dart = None
+        self._root_chains = None
+
+    def chain(self, bag_id, face):
+        """The label chain of ``face`` in ``bag_id``'s dual as a tuple
+        of ``(bag_id, block, row)`` — one per Theorem 2.1 entry, from
+        ``bag_id`` down through the owning children to the bag where
+        the face is in ``F_X`` or is a leaf node (topology only)."""
+        out = []
+        while True:
+            rec = self.internal.get(bag_id)
+            if rec is None:
+                out.append((bag_id, 0, self.slices[bag_id].index[face]))
+                return tuple(out)
+            blk, row = rec.locate[face]
+            out.append((bag_id, blk, row))
+            if blk == 0:
+                return tuple(out)
+            bag_id = rec.children[blk - 1].bag_id
+
+    @property
+    def root_chains(self):
+        """face -> :meth:`chain` in the root bag (built once)."""
+        if self._root_chains is None:
+            root = self.internal.get(self.root_id)
+            nodes = (self.slices[self.root_id].nodes if root is None
+                     else root.node_list)
+            self._root_chains = {f: self.chain(self.root_id, f)
+                                 for f in nodes}
+        return self._root_chains
+
+    def entry_words(self, bag_id):
+        """Words of one label entry in ``bag_id`` (``LabelEntry.words``):
+        two ids plus both-direction distances to every ``F_X`` face, or
+        to every node of a leaf."""
+        rec = self.internal.get(bag_id)
+        width = (self.slices[bag_id].num_faces if rec is None
+                 else len(rec.f_x))
+        return 2 + 2 * width
 
     @property
     def ddg_workspace(self):
@@ -483,18 +523,15 @@ def compile_labeling_bags(bdd, duals=None):
 _InternalRepair = namedtuple("_InternalRepair", "fwd back m_out m_in")
 
 
-#: marks a clean child whose node labels were verified unchanged and
-#: therefore skipped wholesale during a repair
-_REUSED = object()
-
-
 # ----------------------------------------------------------------------
 # builder
 # ----------------------------------------------------------------------
 def build_dual_labels_engine(labeling, compiled=None):
-    """Fill ``labeling._labels`` with the Theorem 2.1 labels (equal
-    to the legacy backend's bit for bit on integral lengths) using the
-    compiled bag arrays (see the module docstring).
+    """Fill ``labeling._store`` with the Theorem 2.1 label tables (the
+    legacy backend's labels bit for bit on integral lengths, see
+    :func:`engine_labels`) using the compiled bag arrays (see the
+    module docstring), and point ``labeling._chains`` at the root
+    chains the decode walks.
 
     A build is a repair with every bag dirty: it runs the same level
     loop, and records the per-bag child SSSP matrices and DDG boundary
@@ -503,11 +540,13 @@ def build_dual_labels_engine(labeling, compiled=None):
     """
     if compiled is None:
         compiled = compile_labeling_bags(labeling.bdd, labeling.duals)
+    labeling._store = {}
     labeling._repair = {}
     every = {bag_id for level in compiled.levels for bag_id, _ in level}
     with obs.span("labeling.build", bags=len(every)):
         _relabel(labeling, compiled, every)
-    return labeling._labels
+    labeling._chains = compiled.root_chains
+    return labeling._store
 
 
 def dirty_bags(compiled, darts):
@@ -553,30 +592,33 @@ def _relabel(labeling, compiled, dirty):
     stats = {"dirty_bags": len(dirty),
              "total_bags": sum(len(lv) for lv in compiled.levels),
              "repaired_leaves": 0, "repaired_internal": 0,
-             "sssp_children": 0, "reused_children": 0}
+             "sssp_children": 0, "apsp_children": 0,
+             "reused_children": 0}
+    store = labeling._store
+    #: this pass's leaf APSP matrices, which their parents read their
+    #: anchored rows out of
+    apsp = {}
     for level in compiled.levels:
         for bag_id, is_leaf in level:
             if bag_id not in dirty:
                 continue
             if is_leaf:
-                _label_leaf(compiled, bag_id, lengths, labeling._labels)
+                _label_leaf(compiled, bag_id, lengths, store, apsp)
                 stats["repaired_leaves"] += 1
             else:
-                _label_internal(compiled, bag_id, lengths,
-                                labeling._labels, labeling._repair,
-                                dirty, stats)
+                _label_internal(compiled, bag_id, lengths, store,
+                                labeling._repair, apsp, dirty, stats)
                 stats["repaired_internal"] += 1
     return stats
 
 
-def _label_leaf(compiled, bag_id, lengths, labels):
-    """Leaf bag: whole-bag APSP in one batched Bellman–Ford call."""
-    from repro.labeling.labels import Label, LabelEntry
-
+def _label_leaf(compiled, bag_id, lengths, store, apsp):
+    """Leaf bag: whole-bag APSP in one batched Bellman–Ford call; its
+    rows ``rows[v][h] = dist(nodes[v] -> nodes[h])`` are the bag's
+    label table (a ``dist_from`` is a column of the same rows)."""
     t0 = time.perf_counter()
     sl = compiled.slices[bag_id]
-    nodes = sl.nodes
-    k = len(nodes)
+    k = len(sl.nodes)
     if k == 0:
         return
     try:
@@ -585,16 +627,8 @@ def _label_leaf(compiled, bag_id, lengths, labels):
         raise NegativeCycleError(
             f"negative cycle in leaf bag {bag_id}",
             where=("leaf", bag_id))
-    # rows[v][h] = dist(nodes[v] -> nodes[h]); dist_from reads the
-    # transpose of the same matrix
-    to_rows = _matrix_scalars(rows)
-    from_rows = _matrix_scalars(_transpose(rows))
-    for vi, v in enumerate(nodes):
-        entry = LabelEntry(
-            bag_id=bag_id, node=v, is_leaf=True,
-            dist_to=dict(zip(nodes, to_rows[vi])),
-            dist_from=dict(zip(nodes, from_rows[vi])))
-        labels[(bag_id, v)] = Label(node=v, entries=[entry])
+    apsp[bag_id] = rows
+    store[bag_id] = ([_matrix_scalars(rows)], None)
     obs.observe("labeling.leaf_apsp_seconds", time.perf_counter() - t0)
 
 
@@ -863,10 +897,12 @@ def _ddg_stage_py(compiled, rec, fwd, lengths):
     return fd, self_dist, m_out_c, m_in_c
 
 
-def _label_internal(compiled, bag_id, lengths, labels, state, dirty,
+def _label_internal(compiled, bag_id, lengths, store, state, apsp, dirty,
                     stats):
-    from repro.labeling.labels import Label, LabelEntry
-
+    """Internal bag: child anchored rows, the DDG stage, and the bag's
+    label table — block 0 the ``F_X`` rows, block ``1 + ci`` the rows
+    of the nodes child ``ci`` owns, each a ``(to rows, from rows)``
+    pair of Python-scalar rows in ``F_X`` order."""
     rec = compiled.internal[bag_id]
     f_x = rec.f_x
     nfx = len(f_x)
@@ -875,7 +911,8 @@ def _label_internal(compiled, bag_id, lengths, labels, state, dirty,
     # ---- child anchored SSSPs (forward + reverse per child) ----------
     # A clean child's slice lengths are untouched, so its recorded
     # matrices from the last build are exactly what a fresh SSSP would
-    # return — the dominant per-bag cost a repair skips.
+    # return — the dominant per-bag cost a repair skips.  A leaf child
+    # relabeled in this pass already holds every row in its APSP.
     fwd = []     # fwd[ci][a][node] = d_c(cf[a] -> node)
     back = []    # back[ci][a][node] = d_c(node -> cf[a])
     for ci, child in enumerate(rec.children):
@@ -888,11 +925,21 @@ def _label_internal(compiled, bag_id, lengths, labels, state, dirty,
             back.append(old.back[ci])
             stats["reused_children"] += 1
             continue
-        sl = compiled.slices[child.bag_id]
-        fwd.append(sl.batched_sssp(lengths, child.cf_local))
-        back.append(sl.batched_sssp(lengths, child.cf_local,
-                                    reverse=True))
-        stats["sssp_children"] += 1
+        rows = apsp.get(child.bag_id)
+        if rows is None:
+            sl = compiled.slices[child.bag_id]
+            fwd.append(sl.batched_sssp(lengths, child.cf_local))
+            back.append(sl.batched_sssp(lengths, child.cf_local,
+                                        reverse=True))
+            stats["sssp_children"] += 1
+        elif _np is not None:
+            fwd.append(rows[child.cf_local])
+            back.append(rows[:, child.cf_local].T)
+            stats["apsp_children"] += 1
+        else:
+            fwd.append([rows[a] for a in child.cf_local])
+            back.append([[row[a] for row in rows] for a in child.cf_local])
+            stats["apsp_children"] += 1
 
     # ---- DDG: assemble, relax, F_X part-group minima -----------------
     if _np is not None:
@@ -901,35 +948,28 @@ def _label_internal(compiled, bag_id, lengths, labels, state, dirty,
         fd, self_dist, m_out_c, m_in_c = _ddg_stage_py(
             compiled, rec, fwd, lengths)
 
-    # ---- negative-cycle face check + F_X labels ----------------------
+    # ---- negative-cycle face check + F_X rows ------------------------
     for j, f in enumerate(f_x):
         if self_dist[j] < 0:
             raise NegativeCycleError(
                 f"negative cycle through F_X node {f} of bag "
                 f"{bag_id}", where=("ddg", bag_id))
-    fd_to = _matrix_scalars(fd)
-    fd_from = _matrix_scalars(_transpose(fd))
-    for j, f in enumerate(f_x):
-        entry = LabelEntry(bag_id=bag_id, node=f, is_leaf=False,
-                           dist_to=dict(zip(f_x, fd_to[j])),
-                           dist_from=dict(zip(f_x, fd_from[j])))
-        labels[(bag_id, f)] = Label(node=f, entries=[entry])
+    to_blocks = [_matrix_scalars(fd)]
+    from_blocks = [_matrix_scalars(_transpose(fd))]
 
-    # ---- per-child node-to-F_X distance matrices ---------------------
-    d_out_c = []
-    d_in_c = []
+    # ---- per-child node-to-F_X distance rows -------------------------
     viol_c = []
+    inf_row = [INF] * nfx
     for ci, child in enumerate(rec.children):
         m_out = m_out_c[ci]
         m_in = m_in_c[ci]
+        viol_c.append(None)
         if m_out is None:
-            # no F_X face lives in this child: this bag's entries are
-            # all-inf regardless of weights, but the chained child
-            # entries still change when the child is dirty
-            keep = child.bag_id not in dirty
-            d_out_c.append(_REUSED if keep else None)
-            d_in_c.append(None)
-            viol_c.append(None)
+            # no F_X face lives in this child: every distance is inf
+            # regardless of weights
+            n_c = len(compiled.slices[child.bag_id].nodes)
+            to_blocks.append([inf_row] * n_c)
+            from_blocks.append(to_blocks[-1])
             continue
         if child.bag_id not in dirty:
             if _np is not None:
@@ -938,15 +978,14 @@ def _label_internal(compiled, bag_id, lengths, labels, state, dirty,
             else:
                 same = old.m_out[ci] == m_out and old.m_in[ci] == m_in
             if same:
-                # clean child + unchanged boundary rows: every node
-                # label this child owns is a pure function of (fwd,
-                # back, m_out, m_in), all unchanged — keep the stored
-                # labels (they also passed the previous build's
-                # negative-cycle check, so a full rebuild could not
-                # raise at any of them)
-                d_out_c.append(_REUSED)
-                d_in_c.append(None)
-                viol_c.append(None)
+                # clean child + unchanged boundary rows: every row this
+                # child owns is a pure function of (fwd, back, m_out,
+                # m_in), all unchanged — keep the stored rows (they
+                # also passed the previous build's negative-cycle
+                # check, so a full rebuild could not raise at them)
+                old_to, old_from = store[bag_id]
+                to_blocks.append(old_to[1 + ci])
+                from_blocks.append(old_from[1 + ci])
                 continue
         ncf = len(child.cf_local)
         if _np is not None:
@@ -962,7 +1001,9 @@ def _label_internal(compiled, bag_id, lengths, labels, state, dirty,
             js, anchors = child.direct
             do[:, js] = _np.minimum(do[:, js], x_out[:, anchors])
             di[:, js] = _np.minimum(di[:, js], x_in[:, anchors])
-            viol = ((do + di) < 0).any(axis=1).tolist()
+            viol = ((do + di) < 0).any(axis=1)
+            if viol.any():
+                viol_c[ci] = viol
         else:
             n_c = len(compiled.slices[child.bag_id].nodes)
             do = [[INF] * nfx for _ in range(n_c)]
@@ -993,37 +1034,102 @@ def _label_internal(compiled, bag_id, lengths, labels, state, dirty,
                     row_i[j] = best_i
                     if best_o + best_i < 0:
                         viol[node] = True
-        d_out_c.append(_matrix_scalars(do))
-        d_in_c.append(_matrix_scalars(di))
-        viol_c.append(viol)
+            if any(viol):
+                viol_c[ci] = viol
+        to_blocks.append(_matrix_scalars(do))
+        from_blocks.append(_matrix_scalars(di))
     state[bag_id] = _InternalRepair(fwd, back, m_out_c, m_in_c)
 
-    # ---- node labels in legacy (sorted) order ------------------------
-    for ni, f in enumerate(rec.node_list):
-        pos = rec.owner_pos[ni]
-        if pos == -1:
-            continue  # F_X faces already labeled above
-        if pos == -2:
-            raise DecompositionError(
-                f"node {f} of bag {bag_id} has no owning child")
-        child = rec.children[pos]
-        r = rec.owner_idx[ni]
-        do = d_out_c[pos]
-        if do is _REUSED:
-            continue  # stored labels verified unchanged (see above)
-        if do is None:
-            # no F_X face lives in this child: all distances stay inf
-            d_to = {h: INF for h in f_x}
-            d_from = {h: INF for h in f_x}
-        else:
-            if viol_c[pos][r]:
+    # ---- legacy raise sites, in sorted node order --------------------
+    if (len(rec.locate) < len(rec.node_list)
+            or any(v is not None for v in viol_c)):
+        for f in rec.node_list:
+            if f not in rec.locate:
+                raise DecompositionError(
+                    f"node {f} of bag {bag_id} has no owning child")
+            blk, r = rec.locate[f]
+            if blk and viol_c[blk - 1] is not None and viol_c[blk - 1][r]:
                 raise NegativeCycleError(
                     f"negative cycle through node {f} of bag "
                     f"{bag_id}", where=("node", bag_id))
-            d_to = dict(zip(f_x, do[r]))
-            d_from = dict(zip(f_x, d_in_c[pos][r]))
-        entry = LabelEntry(bag_id=bag_id, node=f, is_leaf=False,
-                           dist_to=d_to, dist_from=d_from)
-        child_label = labels[(child.bag_id, f)]
-        labels[(bag_id, f)] = Label(
-            node=f, entries=[entry] + child_label.entries)
+    store[bag_id] = (to_blocks, from_blocks)
+
+
+# ----------------------------------------------------------------------
+# readers: decode by index; Label objects only on demand
+# ----------------------------------------------------------------------
+def decode_distance_engine(chains, store, a, b):
+    """dist(a → b) read from the label tables along the two faces'
+    :meth:`CompiledLabelingBags.chain` — the index form of
+    :func:`repro.labeling.labels.decode_distance`, with the same
+    strict-``<`` minimum over ``F_X`` in order, hence the same value
+    and Python type."""
+    if a == b:
+        return 0
+    best = INF
+    for (bag, blk, ra), (bag_b, blk_b, rb) in zip(chains[a], chains[b]):
+        if bag != bag_b:
+            break
+        to, frm = store[bag]
+        if frm is None:  # an aligned leaf: the direct entry
+            cand = to[0][ra][rb]
+            return cand if cand < best else best
+        cand = min(map(add, to[blk][ra], frm[blk_b][rb]), default=INF)
+        if cand < best:
+            best = cand
+    return best
+
+
+def _entry(compiled, store, bag_id, blk, row, face):
+    """The :class:`~repro.labeling.labels.LabelEntry` of one table row."""
+    from repro.labeling.labels import LabelEntry
+
+    to, frm = store[bag_id]
+    if frm is None:
+        nodes = compiled.slices[bag_id].nodes
+        rows = to[0]
+        return LabelEntry(bag_id=bag_id, node=face, is_leaf=True,
+                          dist_to=dict(zip(nodes, rows[row])),
+                          dist_from=dict(zip(nodes,
+                                             [r[row] for r in rows])))
+    f_x = compiled.internal[bag_id].f_x
+    return LabelEntry(bag_id=bag_id, node=face, is_leaf=False,
+                      dist_to=dict(zip(f_x, to[blk][row])),
+                      dist_from=dict(zip(f_x, frm[blk][row])))
+
+
+def engine_label(compiled, store, bag_id, face):
+    """The :class:`~repro.labeling.labels.Label` of ``face`` in
+    ``bag_id``'s dual, built from the tables along its chain."""
+    from repro.labeling.labels import Label
+
+    return Label(node=face, entries=[
+        _entry(compiled, store, b, blk, row, face)
+        for b, blk, row in compiled.chain(bag_id, face)])
+
+
+def engine_labels(compiled, store):
+    """Every ``(bag_id, face) -> Label`` the legacy builder produces,
+    built from the tables bottom-up (a chained label shares its
+    child's entries, as legacy's does)."""
+    from repro.labeling.labels import Label
+
+    labels = {}
+    for level in compiled.levels:
+        for bag_id, is_leaf in level:
+            if bag_id not in store:
+                continue  # an empty leaf has no labels
+            if is_leaf:
+                for row, f in enumerate(compiled.slices[bag_id].nodes):
+                    labels[(bag_id, f)] = Label(node=f, entries=[
+                        _entry(compiled, store, bag_id, 0, row, f)])
+                continue
+            rec = compiled.internal[bag_id]
+            for f in rec.node_list:
+                blk, row = rec.locate[f]
+                entries = [_entry(compiled, store, bag_id, blk, row, f)]
+                if blk:
+                    child = rec.children[blk - 1].bag_id
+                    entries += labels[(child, f)].entries
+                labels[(bag_id, f)] = Label(node=f, entries=entries)
+    return labels

@@ -36,6 +36,14 @@ from collections import deque
 
 from repro import obs
 from repro.bdd.dual_bags import build_all_dual_bags
+from repro.engine.labels import (
+    build_dual_labels_engine,
+    compile_labeling_bags,
+    decode_distance_engine,
+    engine_label,
+    engine_labels,
+    repair_dual_labels_engine,
+)
 from repro.errors import NegativeCycleError
 from repro.labeling.labels import INF, Label, LabelEntry, decode_distance
 from repro.planar.graph import rev
@@ -95,7 +103,10 @@ class DualDistanceLabeling:
         simulation above; ``"engine"`` — the compiled-array builder of
         :mod:`repro.engine.labels`, which produces bit-identical labels
         (including :class:`NegativeCycleError` sites) from cached
-        per-bag CSR slices and batched Bellman–Ford kernels.  An
+        per-bag CSR slices and batched Bellman–Ford kernels.  It keeps
+        them as per-bag row tables and decodes :meth:`distance` from
+        those by index; :meth:`label` and ``_labels`` build the
+        :class:`~repro.labeling.labels.Label` objects on demand.  An
         engine build also records the per-bag child SSSP matrices and
         DDG boundary rows, so that :meth:`reprice` can delta-repair
         the labels after a weight mutation (DESIGN.md §11); that
@@ -115,35 +126,52 @@ class DualDistanceLabeling:
         self.duals = duals if duals is not None else build_all_dual_bags(bdd)
         self.ledger = ledger
         self.backend = backend
-        #: (bag_id, face) -> Label (in that bag's dual)
-        self._labels = {}
+        #: (bag_id, face) -> Label (in that bag's dual); on the engine
+        #: backend built on demand from ``_store`` (see ``_labels``)
+        self._label_objs = {} if backend == "legacy" else None
         self._decode_cache = {}
-        #: bag_id -> engine repair state (None on the legacy backend)
-        self._repair = None
+        #: engine only: bag_id -> label table, face -> root chain, and
+        #: bag_id -> repair state (all None on the legacy backend)
+        self._store = self._chains = self._repair = None
         if backend == "engine":
-            from repro.engine.labels import build_dual_labels_engine
-
             build_dual_labels_engine(self)
         else:
             self._compute()
+
+    @property
+    def _labels(self):
+        """(bag_id, face) -> Label.  The engine keeps its labels as
+        per-bag row tables and builds these objects only when asked
+        (an audit or a legacy comparison), once per weight vector."""
+        if self._label_objs is None:
+            self._label_objs = engine_labels(self._compiled(), self._store)
+        return self._label_objs
+
+    def _compiled(self):
+        return compile_labeling_bags(self.bdd, self.duals)
 
     # ------------------------------------------------------------------
     def label(self, face, bag=None):
         """Label of a face in a bag's dual (default: the root, G*)."""
         bag_id = self.bdd.root.bag_id if bag is None else bag
-        return self._labels[(bag_id, face)]
+        if self._store is None:
+            return self._labels[(bag_id, face)]
+        return engine_label(self._compiled(), self._store, bag_id, face)
 
     def distance(self, f, g):
-        """dist_{G*}(f → g) decoded from the two labels."""
+        """dist_{G*}(f → g) decoded from the two labels (on the engine
+        backend, from the label tables by index)."""
         t0 = time.perf_counter()
-        d = decode_distance(self.label(f), self.label(g))
+        if self._store is None:
+            d = decode_distance(self.label(f), self.label(g))
+        else:
+            d = decode_distance_engine(self._chains, self._store, f, g)
         obs.observe("labeling.decode_seconds", time.perf_counter() - t0)
         return d
 
     def all_labels_root(self):
         root = self.bdd.root.bag_id
-        return [self._labels[(root, f)]
-                for f in sorted(self.duals[root].nodes)]
+        return [self.label(f) for f in sorted(self.duals[root].nodes)]
 
     # ------------------------------------------------------------------
     def reprice(self, changes):
@@ -167,13 +195,10 @@ class DualDistanceLabeling:
         if self._repair is None:
             raise ValueError("reprice() requires a labeling built "
                              "with backend='engine'")
-        from repro.engine.labels import repair_dual_labels_engine
-
-        stats = repair_dual_labels_engine(
+        self._label_objs = None
+        return repair_dual_labels_engine(
             self, {d: v for d, v in changes.items()
                    if self.lengths.get(d) != v})
-        self._decode_cache.clear()
-        return stats
 
     # ------------------------------------------------------------------
     def _compute(self):
@@ -412,6 +437,13 @@ class DualDistanceLabeling:
         return view.eccentricity(v0)
 
     def max_label_bits(self, word_bits=32):
+        if self._store is not None:
+            # the size of a label is topology only: one entry per chain
+            # link, each as wide as its bag's F_X (or leaf)
+            compiled = self._compiled()
+            return word_bits * max(
+                sum(compiled.entry_words(b) for b, _, _ in chain)
+                for chain in self._chains.values())
         root = self.bdd.root.bag_id
         return max(lbl.bits(word_bits)
                    for (b, _f), lbl in self._labels.items() if b == root)

@@ -197,8 +197,12 @@ class GraphCatalog:
         """Register ``graph`` under ``name``; returns the entry.
 
         Re-registering an existing name requires ``overwrite=True`` and
-        drops the old name's artifacts and results.
+        drops the old name's artifacts and results.  Every weight and
+        capacity must be a finite ``int`` or ``float``; a graph that
+        breaks this is refused and nothing is registered.
         """
+        for label in ("weights", "capacities"):
+            _check_finite("register", name, label, getattr(graph, label))
         if name in self._entries:
             if not overwrite:
                 raise ServiceError(f"graph {name!r} is already "
@@ -282,11 +286,7 @@ class GraphCatalog:
                 raise ServiceError(
                     f"{label} for {name!r} must have one entry per "
                     f"edge (got {len(values)}, graph has m={g.m})")
-            for eid, v in enumerate(values):
-                if not _finite_number(v):
-                    raise ServiceError(
-                        f"set_weights({name!r}): {label}[{eid}] must "
-                        f"be a finite number, got {v!r}")
+            _check_finite("set_weights", name, label, values)
         if weights is not None:
             g.weights[:] = weights
         if capacities is not None:
@@ -574,6 +574,15 @@ def _finite_number(value):
     if isinstance(value, int):
         return not isinstance(value, bool)
     return isinstance(value, float) and math.isfinite(value)
+
+
+def _check_finite(verb, name, label, values):
+    """Raise :class:`ServiceError` at the first of ``values`` that is
+    not a :func:`_finite_number`."""
+    for eid, v in enumerate(values):
+        if not _finite_number(v):
+            raise ServiceError(f"{verb}({name!r}): {label}[{eid}] must "
+                               f"be a finite number, got {v!r}")
 
 
 def _edge_updates(name, graph, edges):

@@ -85,6 +85,56 @@ class TestLabelParity:
                 assert eng.distance(s, t) == leg.distance(s, t)
 
 
+    def test_table_labels_after_build_and_repair(self, maker, leaf):
+        """The engine keeps row tables; the ``Label`` objects built
+        from them on demand, the chain-walked ``label()`` and the
+        topology-only ``max_label_bits()`` equal legacy's, after a
+        build and after a repair (which drops the built objects)."""
+        g = maker()
+        bdd = build_bdd(g, leaf_size=leaf)
+        lengths = positive_lengths(g, seed=6)
+        leg, eng = both(bdd, dict(lengths))
+
+        def check(leg, eng):
+            assert eng._labels == leg._labels
+            for bag, f in leg._labels:
+                assert eng.label(f, bag=bag) == leg._labels[(bag, f)]
+            assert eng.all_labels_root() == leg.all_labels_root()
+            assert eng.max_label_bits() == leg.max_label_bits()
+            for s in range(0, g.num_faces(), 3):
+                for t in range(g.num_faces()):
+                    a, b = eng.distance(s, t), leg.distance(s, t)
+                    assert a == b and type(a) is type(b)
+
+        check(leg, eng)
+        rng = random.Random(7)
+        changes = {d: rng.randint(1, 12)
+                   for d in rng.sample(sorted(lengths), 6)}
+        lengths.update(changes)
+        eng.reprice(changes)
+        check(DualDistanceLabeling(bdd, lengths), eng)
+
+
+def test_float_labels_match_legacy_at_bags_over_leaves():
+    """A leaf child's anchored rows are read out of its APSP, the rows
+    legacy decodes its child distances from, so on non-integral floats
+    every bag whose children are all leaves holds legacy's entries
+    (with two anchored SSSPs per child, one entry differed)."""
+    g = random_planar(45, seed=3)
+    rng = random.Random(3)
+    plus = (0, .1, .2, .3, 1 / 3, .7, 2)
+    lengths = {d: rng.choice(plus if d % 2 == 0 else (0, .1))
+               for d in g.darts()}
+    bdd = build_bdd(g, leaf_size=10)
+    leg, eng = both(bdd, lengths)
+    low = {b.bag_id for b in bdd.bags
+           if not b.is_leaf and all(c.is_leaf for c in b.children)}
+    assert low
+    for (bag, f), lbl in leg._labels.items():
+        if bag in low:
+            assert eng._labels[(bag, f)] == lbl
+
+
 class TestEngineLabelingBehaviour:
     def test_root_labels_and_bits(self):
         g = grid(6, 6)

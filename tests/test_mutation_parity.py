@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bdd import build_bdd
 from repro.errors import AuditError, NegativeCycleError, ServiceError
 from repro.labeling import DualDistanceLabeling
+from repro.labeling.labels import LabelEntry
 from repro.planar.generators import (
     cylinder,
     grid,
@@ -221,6 +222,58 @@ class TestDeltaRepair:
         assert row["reused_children"] >= 0
         # repaired in place and re-keyed: same object, still cached
         assert cat.get("g").labeling(leaf_size=LEAF) is lab
+
+    def test_served_path_builds_no_label_objects(self, monkeypatch):
+        """The engine labeling stores row tables: a cold build, writes
+        and the distance reads after them construct no LabelEntry."""
+        made = []
+        init = LabelEntry.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LabelEntry, "__init__", counting)
+        g = make_family("grid")
+        nf = g.num_faces()
+        cat = GraphCatalog()
+        cat.register("g", g)
+        rng = random.Random(4)
+        for step in range(4):
+            for _ in range(6):
+                q = DistanceQuery("g", rng.randrange(nf), rng.randrange(nf),
+                                  leaf_size=LEAF)
+                cat.serve(q)
+            cat.mutate_weights("g", {e: g.weights[e] + 1 + step
+                                     for e in rng.sample(range(g.m), 3)})
+        assert made == []
+        # the counter does see the objects built on demand
+        cat.get("g").labeling(leaf_size=LEAF).label(0)
+        assert made
+
+    def test_legacy_audit_after_reprice_sequence(self):
+        """The reprice workload's shape — 8-edge windows raised and
+        restored, each write followed by a read — on a small grid, then
+        an audit against a from-scratch legacy build.  The counts are
+        those of the label objects the engine used to keep."""
+        g = randomize_weights(grid(12, 12), seed=11,
+                              directed_capacities=True)
+        cat = GraphCatalog()
+        cat.register("g", g)
+        cat.get("g").labeling()
+        rng = random.Random(2)
+        base = list(g.weights)
+        nf = g.num_faces()
+        for a, b in ((0, 48), (96, 24), (48, 0)):
+            for start, raise_ in ((a, True), (b, True), (a, False)):
+                cat.mutate_weights("g", {
+                    e: base[e] + (rng.randint(1, 20) if raise_ else 0)
+                    for e in range(start, start + 8)})
+                cat.serve(DistanceQuery("g", rng.randrange(nf),
+                                        rng.randrange(nf)))
+        report = cat.audit_labeling("g", reference_backend="legacy")
+        assert report["error"] is None
+        assert (report["labels"], report["entries"]) == (245, 339)
 
     def test_flow_results_stay_warm_distance_results_drop(self):
         g = make_family("grid")

@@ -591,6 +591,20 @@ class TestServerEndToEnd:
         q = FlowQuery("g", 0, g.n - 1)
         assert client.query(q).result == reference_results(g, [q])[0]
 
+    @pytest.mark.parametrize("field,bad", [("weights", float("nan")),
+                                           ("capacities", True)])
+    def test_register_bad_values_typed_error(self, served, field, bad):
+        # the master refuses the graph before registering or
+        # broadcasting it, so no catalog knows the name
+        client = served["client"]
+        g = make_grid(3, 4, seed=9)
+        getattr(g, field)[2] = bad
+        with pytest.raises(ServiceError, match="finite number"):
+            client.register("wire-bad", g)
+        assert "wire-bad" not in client.graphs()
+        assert "wire-bad" not in served["pool"].catalog
+        assert client.ping()["pong"] is True
+
     def test_mutate_frame_with_max_dirty_frac_still_succeeds(self, served):
         # an older client's frame may still carry the retired
         # max_dirty_frac field; the server ignores it (protocol v1)

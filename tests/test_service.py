@@ -274,6 +274,23 @@ class TestCatalog:
         assert (list(g.weights), list(g.capacities),
                 cat.get("g").fingerprint()) == before
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True,
+                                     "3"])
+    def test_register_rejects_non_finite_values(self, bad):
+        cat = GraphCatalog()
+        good = make_grid()
+        cat.register("g", good)
+        for field in ("weights", "capacities"):
+            g = make_grid()
+            getattr(g, field)[3] = bad
+            with pytest.raises(ServiceError, match="finite number"):
+                cat.register("h", g)
+            # an overwrite is refused before the old graph is dropped
+            with pytest.raises(ServiceError, match="finite number"):
+                cat.register("g", g, overwrite=True)
+        assert cat.names() == ["g"]
+        assert cat.get("g").graph is good
+
     def test_unregister_frees_shared_cache_entries(self):
         cat = GraphCatalog()
         g = make_grid()
