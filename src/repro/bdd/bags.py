@@ -86,9 +86,6 @@ class BDD:
             by.setdefault(b.level, []).append(b)
         return [by[lv] for lv in sorted(by, reverse=True)]
 
-    def bags_by_level(self, level):
-        return [b for b in self.bags if b.level == level]
-
     def leaf_bags(self):
         return [b for b in self.bags if b.is_leaf]
 

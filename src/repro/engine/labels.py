@@ -101,7 +101,7 @@ from repro import obs
 from repro._artifacts import shared_cache, topo_token
 from repro._compat import np as _np
 from repro.engine.dijkstra import DijkstraWorkspace
-from repro.engine.workspace import FlowWorkspace, _as_scalar, _dart_array
+from repro.engine.workspace import FlowWorkspace, _as_scalars, _dart_array
 from repro.errors import DecompositionError, NegativeCycleError
 from repro.planar.graph import rev
 
@@ -130,19 +130,6 @@ def dart_length_table(lengths, num_darts):
     table[:num_darts] = _dart_array(lengths, num_darts)
     table[num_darts] = INF
     return table
-
-
-def _matrix_scalars(m):
-    """A distance matrix -> list of rows of Python scalars with legacy
-    types: ints where integral (the common case, converted wholesale in
-    one call), ``math.inf`` where unreached — the matrix form of
-    :func:`repro.engine.workspace._as_scalar`."""
-    if _np is not None and isinstance(m, _np.ndarray):
-        if (_np.isfinite(m).all() and (m == _np.rint(m)).all()
-                and (_np.abs(m) < 2.0 ** 63).all()):
-            return m.astype(_np.int64).tolist()
-        return [[_as_scalar(x) for x in row] for row in m.tolist()]
-    return [[_as_scalar(x) for x in row] for row in m]
 
 
 def _transpose(m):
@@ -628,7 +615,7 @@ def _label_leaf(compiled, bag_id, lengths, store, apsp):
             f"negative cycle in leaf bag {bag_id}",
             where=("leaf", bag_id))
     apsp[bag_id] = rows
-    store[bag_id] = ([_matrix_scalars(rows)], None)
+    store[bag_id] = ([_as_scalars(rows)], None)
     obs.observe("labeling.leaf_apsp_seconds", time.perf_counter() - t0)
 
 
@@ -954,8 +941,8 @@ def _label_internal(compiled, bag_id, lengths, store, state, apsp, dirty,
             raise NegativeCycleError(
                 f"negative cycle through F_X node {f} of bag "
                 f"{bag_id}", where=("ddg", bag_id))
-    to_blocks = [_matrix_scalars(fd)]
-    from_blocks = [_matrix_scalars(_transpose(fd))]
+    to_blocks = [_as_scalars(fd)]
+    from_blocks = [_as_scalars(_transpose(fd))]
 
     # ---- per-child node-to-F_X distance rows -------------------------
     viol_c = []
@@ -1036,8 +1023,8 @@ def _label_internal(compiled, bag_id, lengths, store, state, apsp, dirty,
                         viol[node] = True
             if any(viol):
                 viol_c[ci] = viol
-        to_blocks.append(_matrix_scalars(do))
-        from_blocks.append(_matrix_scalars(di))
+        to_blocks.append(_as_scalars(do))
+        from_blocks.append(_as_scalars(di))
     state[bag_id] = _InternalRepair(fwd, back, m_out_c, m_in_c)
 
     # ---- legacy raise sites, in sorted node order --------------------

@@ -26,32 +26,27 @@ All have a vectorized synchronous Bellman–Ford implementation (used
 when numpy is importable) and a queue-based SPFA fallback in pure
 Python with the same relaxation-count negative-cycle detection as the
 legacy reference (:func:`repro.planar.dual.bellman_ford_arcs`).  The
-batched kernel relaxes on a *degree-padded in-arc layout*: the first
-``D = min(max in-degree, 4)`` in-arcs of every face as two ``(D, nf)``
-index arrays (tail face, length slot), a missing arc pointing at a
-sentinel ``inf`` slot, so a pass is one gather, one in-place add and
-one ``min`` over the ``D`` axis; the few faces wider than ``D`` (a
-bag's outer face) fold in the rest with one ``minimum.reduceat`` over
-those overflow slots only.  Every candidate is still the left-fold
-``dist[tail] + len`` and a minimum is exact however it is grouped, so
-the rows are bit-identical to a ``reduceat`` over all slots, floats
-included.  The single-source kernels keep the all-slot ``reduceat``:
-their certificates need the first tight in-arc of every face.  The
-vectorized path detects negative cycles early with an exact
-*improving-arc cycle* certificate: arcs with ``dist[tail] + len <
-dist[head]`` (all against the same distance snapshot) that close a
-cycle telescope to a negative cycle length, and the cycle test is a
-pointer-doubling sweep; the classical |faces|-pass limit remains as the
-completeness backstop.  Distances are computed in float64, which is
-exact for the paper's polynomially-bounded integral lengths, and
-returned as Python ints wherever integral so both backends produce
-identical values.
+vectorized kernels relax on a *degree-padded in-arc layout*
+(:meth:`_VectorDualKernel._padded_layout`): a pass is one gather, one
+add and one reduction over each face's first ``D`` in-arcs, and the
+few wider faces fold in the rest with one ``reduceat`` over those
+overflow slots.  Every candidate is the left-fold ``dist[tail] + len``
+and a minimum is exact however grouped, so distances are bit-identical
+to an all-slot ``reduceat``, floats included.  The single-source
+kernel reduces by ``argmin`` and records each improved face's best
+in-arc as its parent: parent arcs closing a cycle telescope to a
+nonpositive length, so a pointer-doubling sweep plus one explicit
+cycle sum is an exact negative-cycle certificate, checked every few
+passes, with the |faces|-pass limit as the completeness backstop.  A
+certificate needs *a* tight arc; only
+:meth:`_VectorDualKernel.tight_parents` promises the first in slot
+order.  Distances are float64, exact for the paper's
+polynomially-bounded integral lengths, and returned as Python ints
+wherever integral so both backends produce identical values.
 
 With numpy the lengths live only in the vector kernel, in its in-slot
-order (``len_in``); the padded lengths are gathered from the current
-``len_in`` on every batched call, so no writer can leave them stale.
-The per-slot list buffers of the SPFA fallback are kept only without
-numpy.
+order (``len_in``); the per-slot list buffers of the SPFA fallback are
+kept only without numpy.
 
 Residual lengths follow Section 6.1:
 ``len_λ(d) = cap(d) − λ·[d ∈ P] + λ·[rev(d) ∈ P]``.  The workspace
@@ -69,17 +64,28 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import deque, namedtuple
 
 from repro._compat import np as _np
 from repro.errors import NegativeCycleError
 
 INF = math.inf
 
-#: in-arc columns of the padded layout of
-#: :meth:`_VectorDualKernel.multi_sssp`; a face with more in-arcs folds
+#: in-arc columns of the padded layout; a face with more in-arcs folds
 #: the rest in as overflow
 PAD_WIDTH = 4
+
+#: passes between two predecessor-cycle checks of
+#: :meth:`_VectorDualKernel._run`.  A check costs about a pass; on
+#: perfbench catalog-read, feasible probes converge in 14–17 passes and
+#: infeasible ones certify after a mean of 7 (grid) or 21 (triangulation)
+#: passes: every 6 to 16 measured alike, every pass a fifth slower
+CYCLE_CHECK_PASSES = 8
+
+#: the degree-padded in-arc layout (:meth:`_VectorDualKernel._padded_layout`)
+_PaddedLayout = namedtuple(
+    "_PaddedLayout", "tail slot face_tail face_slot wide ov_tail ov_slots "
+    "ov_starts ov_head")
 
 
 class _VectorDualKernel:
@@ -88,9 +94,9 @@ class _VectorDualKernel:
     Arc slot ``s`` of the dual CSR is reinterpreted *in-arc-wise*: the
     out-slots of face ``f`` hold the darts of ``f``, and the reversed
     dart of each is precisely an arc whose head is ``f`` — so the same
-    ``indptr`` segments the in-arcs of every face, and one
-    ``minimum.reduceat`` per pass computes every face's best incoming
-    candidate.
+    ``indptr`` segments the in-arcs of every face.  Every kernel relaxes
+    on the degree-padded in-arc layout built from those segments
+    (:meth:`_padded_layout`).
     """
 
     def __init__(self, compiled):
@@ -107,9 +113,6 @@ class _VectorDualKernel:
         sod = np.asarray(compiled.slot_of_dart, dtype=np.int64)
         #: in-layout slot of the arc of dart ``e`` (= out-slot of rev e)
         self.in_slot_of_dart = sod[np.arange(len(sod)) ^ 1]
-        sizes = np.diff(self.indptr)
-        self._seg_of_slot = np.repeat(np.arange(self.nf), sizes)
-        self._arange_slots = np.arange(len(arc_dart))
         #: pointer-doubling steps covering any simple chain of faces
         self._doublings = max(1, (self.nf + 1).bit_length())
         self.len_in = np.zeros(len(arc_dart), dtype=np.float64)
@@ -124,9 +127,8 @@ class _VectorDualKernel:
 
         A cycle of predecessor arcs telescopes to total length ≤ 0 (each
         arc satisfies ``len ≤ dist[head] − dist[tail]`` from the moment
-        it last relaxed its head), so a pointer-doubling sweep flags
-        candidates and an explicit walk sums one concrete cycle to rule
-        out the zero-length edge case exactly.
+        it last relaxed its head), so a pointer-doubling sweep finds one
+        and an explicit sum rules out the zero-length case exactly.
         """
         np = _np
         sent = self.nf
@@ -138,83 +140,89 @@ class _VectorDualKernel:
             hop = hop[hop]
             if (hop[:-1] == sent).all():
                 return False
-        flagged = np.nonzero(hop[:-1] != sent)[0]
-        if len(flagged) == 0:
-            return False
-        # walk one flagged node onto its cycle, then sum the cycle
-        v = int(flagged[0])
-        for _ in range(self.nf):
-            v = int(parent[v])
-        start = v
+        # hop is parent^(2^doublings), more than nf steps: the hop of a
+        # face not led to the sentinel lies on its cycle; sum that cycle
+        start = v = int(hop[np.argmax(hop[:-1] != sent)])
         total = 0.0
         while True:
-            s = int(parent_slot[v])
-            total += float(self.len_in[s])
+            total += float(self.len_in[parent_slot[v]])
             v = int(parent[v])
             if v == start:
-                break
-        return total < 0
+                return total < 0
 
-    def _run(self, dist, track_parents=False):
+    def _run(self, dist):
         """Relax until fixpoint; True iff a negative cycle was proven.
 
-        Synchronous Bellman–Ford in whole-array passes.  Feasible
-        instances converge in about as many passes as the hop radius of
-        the shortest-path forest; negative cycles are caught early by
-        the predecessor-graph certificate (checked periodically) with
-        the classical |faces|-pass limit as the completeness backstop.
+        A pass is one ``dist[face_tail]`` gather, one add and one
+        ``argmin`` over the ``D`` axis, giving every face its best
+        candidate and that in-arc's slot at once; a wide face takes its
+        best overflow arc when strictly smaller.  Improved faces record
+        the slot as their parent for the predecessor-cycle certificate,
+        checked every ``CYCLE_CHECK_PASSES`` passes; the |faces|-pass
+        limit is the completeness backstop.
         """
         np = _np
-        starts = self.starts
-        in_tail = self.in_tail
-        len_in = self.len_in
-        seg_of_slot = self._seg_of_slot
-        arange_slots = self._arange_slots
-        nslots = len(len_in)
+        pad = self._padded_layout()
+        face_len, ov_len = self._gather_lengths(pad.face_slot, pad.ov_slots)
+        face_tail = pad.face_tail
+        face_slot = pad.face_slot.ravel()
+        wide = pad.wide
+        # flat index of each face's first column
+        row0 = np.arange(0, face_tail.size, face_tail.shape[1])
+        nslots = len(self.in_tail)
         parent_slot = np.full(self.nf, -1, dtype=np.int64)
         passes = 0
-        next_check = 64
         limit = self.nf + 1
         while True:
-            cand = dist[in_tail] + len_in
-            seg_min = np.minimum.reduceat(cand, starts)
-            improved = seg_min < dist
+            cand = dist[face_tail]
+            cand += face_len
+            best = cand.argmin(axis=1)
+            best += row0
+            seg = cand.take(best)
+            slot = face_slot.take(best)
+            if len(wide):
+                ov = dist[pad.ov_tail]
+                ov += ov_len
+                ov_min = np.minimum.reduceat(ov, pad.ov_starts)
+                take = ov_min < seg[wide]
+                if take.any():
+                    seg[wide[take]] = ov_min[take]
+                    first = np.minimum.reduceat(
+                        np.where(ov == seg[pad.ov_head], pad.ov_slots,
+                                 nslots), pad.ov_starts)
+                    slot[wide[take]] = first[take]
+            improved = seg < dist
             if not improved.any():
                 return False
-            # predecessor bookkeeping: the first arc achieving seg_min
-            # (cheap passes early on; certificates only matter later)
-            if track_parents or passes >= 32:
-                tight = cand == seg_min[seg_of_slot]
-                idx = np.where(tight, arange_slots, nslots)
-                first = np.minimum.reduceat(idx, starts)
-                parent_slot[improved] = first[improved]
-            np.minimum(dist, seg_min, out=dist)
+            np.copyto(parent_slot, slot, where=improved)
+            np.minimum(dist, seg, out=dist)
             passes += 1
-            if passes >= next_check:
-                if passes > limit or self._parent_cycle(parent_slot):
-                    return True
-                next_check = passes + 32
+            if passes % CYCLE_CHECK_PASSES == 0 and (
+                    passes > limit or self._parent_cycle(parent_slot)):
+                return True
 
     def sssp(self, source):
-        np = _np
-        dist = np.full(self.nf, np.inf, dtype=np.float64)
+        dist = _np.full(self.nf, INF)
         dist[source] = 0.0
         if self._run(dist):
             raise NegativeCycleError(where="engine-sssp")
         return dist
 
     def _padded_layout(self):
-        """The degree-padded in-arc layout of :meth:`multi_sssp`, built
-        once per kernel from the CSR.
+        """The degree-padded in-arc layout, built once per kernel.
 
-        ``pad_tail`` / ``pad_slot`` are ``(D, nf)`` with ``D = min(max
-        in-degree, PAD_WIDTH)``: entry ``(j, f)`` is the ``j``-th in-arc
-        of face ``f``, or, past ``f``'s in-degree, tail 0 and the
-        sentinel slot ``nslots`` whose length is ``inf``.  The in-arcs
-        of faces wider than ``D`` beyond the first ``D`` are the
-        *overflow*: their slots, concatenated face by face, with the
-        ``reduceat`` offsets of each wide face's run.
+        ``tail`` / ``slot`` are ``(D, nf)``, ``D = min(max in-degree,
+        PAD_WIDTH)``: entry ``(j, f)`` is the tail face and length slot
+        of ``f``'s ``j``-th in-arc, or, past its in-degree, tail 0 and
+        the sentinel slot ``nslots`` of length ``inf``.  ``face_tail`` /
+        ``face_slot`` hold them as contiguous ``(nf, D)`` rows for the
+        single-row kernels (an ``argmin`` along the last axis is the
+        fast one).  The in-arcs of a face past its first ``D`` are its
+        *overflow*, concatenated face by face in slot order, with each
+        wide face's ``reduceat`` offset and each slot's head face.
         """
+        if self._pad is not None:
+            return self._pad
         np = _np
         nslots = len(self.in_tail)
         deg = np.diff(self.indptr)
@@ -228,47 +236,36 @@ class _VectorDualKernel:
         np.cumsum(extra[:-1], out=ov_starts[1:])
         ov_slots = (np.repeat(self.starts[wide] + width - ov_starts, extra)
                     + np.arange(int(extra.sum())))
-        self._pad = (tail_ext[pad_slot], pad_slot, wide,
-                     self.in_tail[ov_slots], ov_slots, ov_starts)
+        pad_tail = tail_ext[pad_slot]
+        self._pad = _PaddedLayout(
+            pad_tail, pad_slot, np.ascontiguousarray(pad_tail.T),
+            np.ascontiguousarray(pad_slot.T), wide, self.in_tail[ov_slots],
+            ov_slots, ov_starts, np.repeat(wide, extra))
         return self._pad
+
+    def _gather_lengths(self, *slots):
+        """The current ``len_in`` at each slot array (``inf`` at the
+        sentinel), gathered afresh on every kernel call so no writer of
+        ``len_in`` can leave padded lengths stale."""
+        len_ext = _np.append(self.len_in, INF)
+        return tuple(len_ext[s] for s in slots)
 
     def multi_sssp(self, sources):
         """Synchronous Bellman–Ford from many sources at once: one
-        distance row per source, all rows relaxed in whole-*matrix*
-        passes (the batched form of :meth:`sssp`, used by the labeling
-        kernels of :mod:`repro.engine.labels` where every bag needs a
-        whole anchor set's distances).
+        distance row per source (the batched form of :meth:`sssp`, for
+        the labeling kernels of :mod:`repro.engine.labels`).
 
-        Each pass runs on the degree-padded in-arc layout of
-        :meth:`_padded_layout`: one ``cur[:, pad_tail]`` gather into a
-        ``(rows, D, nf)`` block, one in-place add of the padded lengths
-        (gathered once per call from the current ``len_in``, so they
-        can never be stale), and one ``min(axis=1)``; the few faces
-        wider than ``D`` fold in their overflow arcs with one
-        ``minimum.reduceat`` over those slots only.  Every candidate is
-        still the left-fold ``dist[tail] + len`` and a minimum is exact
-        whatever the grouping, so the rows equal the per-pass
-        ``reduceat`` over all slots bit for bit, floats included;
-        padding contributes ``inf`` candidates only.
-
-        Simple paths have at most ``nf - 1`` arcs, so an improving pass
-        beyond ``nf`` proves a walk strictly better than every simple
-        path — a negative cycle reachable from one of the sources.
-
-        Rows are independent single-source relaxations (they never read
-        each other), so a row with no improvement in a pass has reached
-        its fixpoint: converged rows leave the active set and later
-        passes touch only the rows still shrinking, which caps the work
-        at Σ_r hops(r) instead of |sources| · max_r hops(r).  The active
-        rows stay compacted in one matrix relaxed in place; a row is
-        written back to the result only when it leaves.
+        Each pass is one ``cur[:, tail]`` gather into a ``(rows, D,
+        nf)`` block, one in-place add and one ``min(axis=1)``, plus the
+        overflow ``reduceat``.  An improving pass beyond ``nf`` proves
+        a walk better than every simple path: a negative cycle
+        reachable from a source.  Rows never read each other, so a row
+        with no improvement has converged and leaves the active set
+        (written back once), capping the work at Σ_r hops(r).
         """
         np = _np
-        pad = self._pad if self._pad is not None else self._padded_layout()
-        pad_tail, pad_slot, wide, ov_tail, ov_slots, ov_starts = pad
-        len_ext = np.append(self.len_in, INF)
-        pad_len = len_ext[pad_slot]
-        ov_len = len_ext[ov_slots]
+        pad = self._padded_layout()
+        pad_len, ov_len = self._gather_lengths(pad.slot, pad.ov_slots)
         k = len(sources)
         cur = np.full((k, self.nf), np.inf, dtype=np.float64)
         cur[np.arange(k), np.asarray(sources, dtype=np.int64)] = 0.0
@@ -278,14 +275,14 @@ class _VectorDualKernel:
         rows = np.arange(k)
         passes = 0
         while len(rows):
-            cand = cur[:, pad_tail]
+            cand = cur[:, pad.tail]
             cand += pad_len
             seg = cand.min(axis=1)
-            if len(wide):
-                ov = cur[:, ov_tail]
+            if len(pad.wide):
+                ov = cur[:, pad.ov_tail]
                 ov += ov_len
-                seg[:, wide] = np.minimum(
-                    seg[:, wide], np.minimum.reduceat(ov, ov_starts, axis=1))
+                ov_min = np.minimum.reduceat(ov, pad.ov_starts, axis=1)
+                seg[:, pad.wide] = np.minimum(seg[:, pad.wide], ov_min)
             improved = (seg < cur).any(axis=1)
             if not improved.all():
                 done = ~improved
@@ -302,20 +299,30 @@ class _VectorDualKernel:
         return dist
 
     def tight_parents(self, dist):
-        """One tight in-arc dart per face under ``dist`` (-1 where none:
-        the source and unreached faces)."""
+        """The first tight in-arc dart (in slot order) of every face
+        under ``dist``; -1 where none: the source and unreached faces.
+
+        Padded columns precede their face's overflow slots in slot
+        order, so an overflow arc wins only where no padded one is
+        tight."""
         np = _np
-        cand = dist[self.in_tail] + self.len_in
+        pad = self._padded_layout()
+        face_len, ov_len = self._gather_lengths(pad.face_slot, pad.ov_slots)
+        nslots = len(self.in_tail)
+        cand = dist[pad.face_tail]
+        cand += face_len
         # isfinite excludes unreached faces (inf == inf would otherwise
         # fabricate parents among them)
-        tight = (cand == dist[self._seg_of_slot]) & np.isfinite(cand)
-        nslots = len(cand)
-        idx = np.where(tight, self._arange_slots, nslots)
-        first = np.minimum.reduceat(idx, self.starts)
-        parent = np.full(self.nf, -1, dtype=np.int64)
-        has = first < nslots
-        parent[has] = self.in_dart[first[has]]
-        return parent
+        tight = (cand == dist[:, None]) & np.isfinite(cand)
+        first = np.where(tight, pad.face_slot, nslots).min(axis=1)
+        if len(pad.wide):
+            ov = dist[pad.ov_tail]
+            ov += ov_len
+            tight = (ov == dist[pad.ov_head]) & np.isfinite(ov)
+            first[pad.wide] = np.minimum(first[pad.wide], np.minimum.reduceat(
+                np.where(tight, pad.ov_slots, nslots), pad.ov_starts))
+        # the sentinel slot nslots (no tight arc) reads dart -1
+        return np.append(self.in_dart, -1)[first]
 
 
 def _dart_array(lengths, num_darts):
@@ -329,10 +336,28 @@ def _dart_array(lengths, num_darts):
 
 def _as_scalar(x):
     """float64 distance -> the Python number the legacy backend yields."""
-    if x == INF or x == -INF:
-        return x if isinstance(x, float) else float(x)
     f = float(x)
     return int(f) if f.is_integer() else f
+
+
+def _as_scalars(a):
+    """A float64 array (vector or matrix) -> (nested) lists of the Python
+    numbers :func:`_as_scalar` gives element by element: ints where
+    integral, whatever the magnitude, floats elsewhere, ``inf`` kept.
+    A list of rows (the numpy-free kernels) is converted row by row."""
+    np = _np
+    if np is None or not isinstance(a, np.ndarray):
+        return [[_as_scalar(x) for x in row] for row in a]
+    integral = np.isfinite(a) & (a == np.rint(a))
+    small = integral & (np.abs(a) < 2.0 ** 63)
+    if small.all():
+        return a.astype(np.int64).tolist()
+    out = a.astype(object)
+    out[small] = a[small].astype(np.int64)
+    big = integral & ~small
+    if big.any():
+        out[big] = np.array([int(x) for x in a[big].tolist()], dtype=object)
+    return out.tolist()
 
 
 class FlowWorkspace:
@@ -435,8 +460,7 @@ class FlowWorkspace:
         """
         self.probe_runs += 1
         if self._vec is not None:
-            dist = _np.zeros(self._vec.nf, dtype=_np.float64)
-            return self._vec._run(dist)
+            return self._vec._run(_np.zeros(self._vec.nf))
         return self._spfa_probe()
 
     def sssp(self, source, track_parents=False):
@@ -453,11 +477,11 @@ class FlowWorkspace:
         self.sssp_runs += 1
         if self._vec is not None:
             nd = self._vec.sssp(source)
-            self.dist[:] = [_as_scalar(x) for x in nd]
+            self.dist[:] = _as_scalars(nd)
             if track_parents:
                 pd = self._vec.tight_parents(nd)
                 pd[source] = -1
-                self.parent_dart[:] = [int(x) for x in pd]
+                self.parent_dart[:] = pd.tolist()
             return self.dist
         return self._spfa_sssp(source, track_parents)
 

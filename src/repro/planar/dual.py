@@ -66,9 +66,6 @@ class DualGraph:
             out.append((eid, f, g, self.primal.weights[eid]))
         return out
 
-    def node_of_face(self, face_id):
-        return face_id
-
     def degree(self, face_id):
         return len(self.primal.faces[face_id])
 

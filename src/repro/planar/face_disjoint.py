@@ -70,9 +70,6 @@ class FaceDisjointGraph:
         deg = self.primal.degree(v)
         return self._n + self._corner_offset[v] + (k % deg)
 
-    def is_star_center(self, x):
-        return x < self._n
-
     def owner_vertex(self, x):
         """The G-vertex that simulates Ĝ-vertex ``x``."""
         if x < self._n:

@@ -463,9 +463,6 @@ class SubgraphView:
     def has_edge(self, eid):
         return eid in self._edge_set
 
-    def has_dart(self, dart):
-        return (dart >> 1) in self._edge_set
-
     @property
     def m(self):
         return len(self.edge_ids)

@@ -195,6 +195,44 @@ def test_workspace_reuse_and_fallback_kernels():
     assert ws.has_negative_cycle() is False
 
 
+def _probe_kernels_agree(g, s, t):
+    """The vector probe equals the SPFA probe at λ = 0, v−1, v, v+1 and
+    the trivial-cut bound, v the networkx max-flow value; λ is feasible
+    exactly up to v."""
+    from repro.core.flow_utils import undirected_st_path_darts
+    from repro.core.maxflow import PlanarMaxFlow
+
+    solver = PlanarMaxFlow(g, directed=True, backend="engine")
+    ws = solver.workspace
+    if ws._vec is None:
+        pytest.skip("the vector probe needs numpy")
+    v = flow_value_networkx(g, s, t, directed=True)
+    assert v >= 1
+    ws.bind_flow_problem(solver.cap, undirected_st_path_darts(g, s, t))
+    for lam in (0, v - 1, v, v + 1, solver.trivial_cut_bound(s, t)):
+        ws.set_lambda(lam)
+        assert ws.has_negative_cycle() is (lam > v)
+        assert ws._spfa_probe() is (lam > v)
+
+
+@pytest.mark.parametrize("name,g", _instances()[:3])
+def test_vector_probe_matches_spfa_probe(name, g):
+    _probe_kernels_agree(g, 0, g.n - 1)
+
+
+def test_vector_probe_matches_spfa_probe_with_zero_length_cycles():
+    """Zero-capacity edges make zero-length dual 2-cycles (both darts
+    0), and a vertex with only such edges a zero-length face cycle: the
+    certificate must not take them for negative ones."""
+    g = randomize_weights(grid(6, 6), seed=31, directed_capacities=True)
+    caps = list(g.capacities)
+    for eid in range(0, g.m, 3):
+        caps[eid] = 0
+    for d in g.out_darts(14):
+        caps[d >> 1] = 0
+    _probe_kernels_agree(g.copy(capacities=caps), 0, g.n - 1)
+
+
 def test_unknown_backend_rejected_everywhere():
     g = randomize_weights(grid(3, 4), seed=1, directed_capacities=True)
     with pytest.raises(ValueError):

@@ -1,17 +1,23 @@
-"""The multi-source Bellman–Ford kernel of the engine labeling
-(DESIGN.md §9).
+"""The Bellman–Ford kernels of the engine on the degree-padded in-arc
+layout (DESIGN.md §6 and §9).
 
-``_VectorDualKernel.multi_sssp`` relaxes every row on a degree-padded
-in-arc layout: each face's first ``D`` in-arcs as a ``(D, nf)`` gather
-(missing arcs read an ``inf`` sentinel slot), and the in-arcs of faces
-wider than ``D`` folded in by one ``reduceat`` over those slots only.
-Every candidate is the left-fold ``dist[tail] + len``, so its rows
-must equal, with ``==`` and therefore bit for bit on floats:
+``_VectorDualKernel.multi_sssp`` (the labeling's batched kernel) and
+``_run`` (the single-source and probe kernel) relax on each face's
+first ``D`` in-arcs as a padded gather (missing arcs read an ``inf``
+sentinel slot), the in-arcs of faces wider than ``D`` folded in by one
+``reduceat`` over those slots only.  Every candidate is the left-fold
+``dist[tail] + len``, so the rows of ``multi_sssp`` and the distances
+of ``sssp`` must equal, with ``==`` and therefore bit for bit on
+floats:
 
 * the pure-Python SPFA fallback ``_spfa_sssp`` from the same source,
   row by row;
 * the per-pass ``minimum.reduceat`` over all slots that the layout
   replaced (kept here as a reference).
+
+``tight_parents`` must still pick the first tight in-arc of every face
+in slot order, and ``_as_scalars`` must type every distance as
+``_as_scalar`` does.
 
 The slices come from real BDDs (a triangulation with faces of in-degree
 up to 8 and padded faces of global dart ``-1``, and a grid whose outer
@@ -28,7 +34,7 @@ import pytest
 from repro.bdd import build_bdd
 from repro.engine import FlowWorkspace, compile_graph, compile_labeling_bags
 from repro.engine.labels import dart_length_table
-from repro.engine.workspace import PAD_WIDTH
+from repro.engine.workspace import PAD_WIDTH, _as_scalar, _as_scalars
 from repro.errors import NegativeCycleError
 from repro.planar.generators import grid, random_planar, randomize_weights
 from repro.planar.graph import rev
@@ -79,8 +85,8 @@ def slice_flat(sl, lengths, reverse):
 
 def assert_kernel_rows(sl, lengths, sources):
     """Forward and reverse: the table load equals a hand-built load on
-    a fresh workspace, and ``multi_sssp`` equals SPFA and the reduceat
-    reference row by row."""
+    a fresh workspace, and ``multi_sssp`` equals SPFA, the reduceat
+    reference and the single-source ``sssp`` row by row."""
     table = dart_length_table(lengths, len(lengths))
     for reverse in (False, True):
         sl.load_lengths(table, reverse=reverse)
@@ -92,6 +98,7 @@ def assert_kernel_rows(sl, lengths, sources):
         assert np.array_equal(rows, reduceat_multi_sssp(ws._vec, sources))
         for row, s in zip(rows.tolist(), sources):
             assert row == list(fresh._spfa_sssp(s, False))
+            assert ws.sssp(s) == row
 
 
 def potential_lengths(g, rng, values):
@@ -171,6 +178,11 @@ def test_negative_cycle_raises_engine_sssp(family):
         with pytest.raises(NegativeCycleError) as exc:
             sl.workspace.batched_sssp(list(range(sl.num_faces)))
         assert exc.value.where == "engine-sssp"
+        # the single-source kernel, from a face with a real dart
+        real = next(ld for ld, gd in enumerate(sl.dart_global) if gd >= 0)
+        with pytest.raises(NegativeCycleError) as exc:
+            sl.workspace.sssp(sl.face_left[real])
+        assert exc.value.where == "engine-sssp"
         with pytest.raises(NegativeCycleError):
             sl.workspace._spfa_sssp(0, False)
         checked += 1
@@ -221,3 +233,63 @@ def test_set_lambda_between_loads_matches_fresh_workspace():
     assert np.array_equal(_all_rows(ws), _all_rows(fresh))
     ws.load_lengths(plain)
     assert np.array_equal(_all_rows(ws), before)
+
+
+# ----------------------------------------------------------------------
+# tight parents and scalar conversion
+# ----------------------------------------------------------------------
+def csr_first_tight(compiled, lengths, dist):
+    """The first tight in-arc dart of every face by a scan of its CSR
+    slots in order (-1 where none)."""
+    out = []
+    for f in range(compiled.num_faces):
+        first = -1
+        for s in range(compiled.dual_indptr[f], compiled.dual_indptr[f + 1]):
+            d = compiled.dual_arc_dart[s] ^ 1
+            cand = dist[compiled.face_left[d]] + lengths[d]
+            if cand == dist[f] and cand < INF:
+                first = d
+                break
+        out.append(first)
+    return out
+
+
+def test_tight_parents_first_in_slot_order():
+    """Unit lengths on a grid tie often, and its outer face is wider
+    than ``PAD_WIDTH``: its first tight arc is sometimes a padded
+    column and sometimes an overflow slot."""
+    g = grid(6, 6)
+    compiled = compile_graph(g)
+    lengths = {d: 1 for d in g.darts()}
+    ws = FlowWorkspace(compiled)
+    ws.load_lengths(lengths)
+    indptr = compiled.dual_indptr
+    outer = int(np.argmax(np.diff(indptr)))
+    assert indptr[outer + 1] - indptr[outer] > PAD_WIDTH
+    slot_of_outer_parent = set()
+    for src in range(compiled.num_faces):
+        ws.sssp(src, track_parents=True)
+        want = csr_first_tight(compiled, lengths, ws.dist)
+        want[src] = -1
+        assert ws.parent_dart == want
+        if src != outer:
+            slot = compiled.slot_of_dart[want[outer] ^ 1]
+            slot_of_outer_parent.add(slot - indptr[outer] >= PAD_WIDTH)
+    assert slot_of_outer_parent == {False, True}
+
+
+def test_as_scalars_matches_as_scalar():
+    m = np.array([[1.0, 0.5, -2.5, INF, 3.0],
+                  [-INF, -0.0, 2.0 ** 53 + 2, 2.0 ** 64, -(2.0 ** 64)],
+                  [7.0, 1 / 3, 0.0, -7.0, 2.0 ** 63]])
+
+    def typed(rows):
+        return [[(type(x), repr(x)) for x in row] for row in rows]
+
+    for a in (m, m.T, m[:, :2]):
+        assert typed(_as_scalars(a)) == typed(
+            [[_as_scalar(x) for x in row] for row in a])
+    assert typed([_as_scalars(m[0])]) == typed([[_as_scalar(x)
+                                                for x in m[0]]])
+    assert typed(_as_scalars(m[:, [0, 4]])) == typed([[1, 3], [-INF, -2 ** 64],
+                                                      [7, 2 ** 63]])
