@@ -32,15 +32,24 @@ Two execution backends share this driver (DESIGN.md §6):
   (:mod:`repro.engine`), with all buffers reused across the O(log λ)
   probes.  Outputs (value, flow assignment, probe count) are identical;
   CONGEST round accounting is only meaningful on the legacy backend.
+
+Both backends find P by a BFS over the compiled primal CSR.  With
+numpy the engine keeps the per-dart capacities as one float64 array
+and, when every SSSP distance is integral and below 2^62, builds the
+assignment from one int64 gather by ``face_left`` plus the O(|P|) path
+patch; otherwise a per-edge loop gives the same values and types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro._compat import np as _np
 from repro.bdd import build_bdd, build_all_dual_bags
-from repro.core.flow_utils import undirected_st_path_darts, validate_flow
+from repro.core.flow_utils import (INT64_BOUND, undirected_st_path_darts,
+                                   validate_flow)
 from repro.engine import FlowWorkspace, compile_graph
+from repro.engine.workspace import _as_scalars, _dart_array
 from repro.errors import InfeasibleFlowError, NegativeCycleError
 from repro.labeling import DualDistanceLabeling, dual_sssp
 from repro.planar.graph import rev
@@ -91,6 +100,9 @@ class PlanarMaxFlow:
             self.bdd = None
             self.duals = None
             self.workspace = FlowWorkspace(compile_graph(graph))
+            #: per-dart capacities as the workspace loads them
+            self._cap_array = (self.cap if _np is None else
+                               _dart_array(self.cap, 2 * graph.m))
 
     def trivial_cut_bound(self, s, t):
         """``min(out_cap(s), in_cap(t))``: the capacity of the trivial
@@ -141,7 +153,7 @@ class PlanarMaxFlow:
             self.ledger.charge_bfs(g.eccentricity(s), "maxflow/find-path",
                                    ref="Theorem 1.2")
         if self.backend == "engine":
-            self.workspace.bind_flow_problem(self.cap, path)
+            self.workspace.bind_flow_problem(self._cap_array, path)
 
         # binary search the max feasible λ in [0, trivial-cut bound];
         # λ=0 is feasible (lengths are the nonnegative capacities)
@@ -175,14 +187,31 @@ class PlanarMaxFlow:
 
         Both backends compute the exact distances from face 0, so the
         assignment is identical: shortest-path distances are unique even
-        when the trees are not.
+        when the trees are not.  With numpy and integral distances below
+        2^62 the engine gathers them in int64 (exact differences) and
+        patches P; the dict holds the same Python ints the loop builds.
         """
         g = self.graph
-        if self.backend == "engine":
-            self.workspace.set_lambda(lam)
-            dist = self.workspace.sssp(0)
-        else:
+        if self.backend == "legacy":
             dist = dual_sssp(lab, source=0, ledger=self.ledger).dist
+        else:
+            ws = self.workspace
+            ws.set_lambda(lam)
+            if _np is None:
+                dist = ws.sssp(0)
+            else:
+                dist = ws.sssp_array(0)
+                if (_np.abs(dist) < INT64_BOUND).all() and (
+                        dist == _np.rint(dist)).all():
+                    d = dist.astype(_np.int64)
+                    face = ws.compiled.arrays().face_left
+                    # dist(face(rev d)) − dist(face(d)), d the plus dart
+                    flow = dict(enumerate(
+                        (d[face[1::2]] - d[face[0::2]]).tolist()))
+                    for p in path_darts:
+                        flow[p >> 1] += -lam if p & 1 else lam
+                    return flow
+                dist = _as_scalars(dist)
         on_path = set(path_darts)
         flow = {}
         for eid in range(g.m):

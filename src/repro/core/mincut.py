@@ -6,7 +6,12 @@ residual graph.  The paper reduces residual reachability to an SSSP with
 0/∞ weights solved by the Õ(D²)-round primal SSSP of [27]; the library
 substitutes a direct reachability sweep and charges the same Õ(D²)
 (DESIGN.md §2) — the *output* (bisection + marked cut edges) is
-identical.
+identical.  The sweep runs on the compiled primal CSR lists
+(:meth:`~repro.engine.csr.CompiledPlanarGraph.adjacency`) on both
+backends and reads a dart's residual capacity only when it scans the
+dart, so a cut costs the volume of its source side rather than |E|:
+the crossing edges are that side's darts leading out of it.  The
+residuals are the same Python expressions for every number type.
 
 Approximate: Reif's duality [39] — an st-separating cycle in the dual is
 an st-cut; the (1+ε)-approximate shortest f₁-to-f₂ path found by the
@@ -21,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.core.maxflow import PlanarMaxFlow
+from repro.engine.csr import compile_graph
 from repro.errors import InfeasibleFlowError
 
 
@@ -87,38 +93,36 @@ def _cut_from_flow(graph, s, t, res, directed):
     ``(graph, s, t, directed)`` instead of solving the flow again.
     """
     # residual capacity per dart (dart capacities as in
-    # maxflow.dart_capacities: directed edges (c, 0), undirected (c, c))
-    resid = {}
-    for eid, c in enumerate(graph.capacities):
-        x = res.flow[eid]
-        resid[2 * eid] = c - x
-        resid[2 * eid + 1] = (0 if directed else c) + x
-
-    side = {s}
-    q = deque([s])
-    while q:
-        u = q.popleft()
-        for d in graph.rotations[u]:
-            if resid[d] > 1e-9:
-                w = graph.head(d)
-                if w not in side:
-                    side.add(w)
-                    q.append(w)
-    if t in side:
+    # maxflow.dart_capacities: directed edges (c, 0), undirected (c, c)),
+    # read only for the darts the sweep scans
+    caps = graph.capacities
+    flow = res.flow
+    adj = compile_graph(graph).adjacency()
+    seen = bytearray(graph.n)
+    seen[s] = 1
+    side = [s]
+    for u in side:
+        for d, w in adj[u]:
+            if seen[w]:
+                continue
+            eid = d >> 1
+            if d & 1:
+                resid = (0 if directed else caps[eid]) + flow[eid]
+            else:
+                resid = caps[eid] - flow[eid]
+            if resid > 1e-9:
+                seen[w] = 1
+                side.append(w)
+    if seen[t]:
         raise InfeasibleFlowError("sink reachable in residual graph; "
                                   "flow was not maximum")
 
-    cut = []
+    # every crossing edge has one end on the side: scan its darts
+    cut = sorted(d >> 1 for u in side for d, w in adj[u]
+                 if not seen[w] and not (directed and d & 1))
     val = 0
-    for eid, ((u, v), c) in enumerate(zip(graph.edges, graph.capacities)):
-        if directed:
-            if u in side and v not in side:
-                cut.append(eid)
-                val += c
-        else:
-            if (u in side) != (v in side):
-                cut.append(eid)
-                val += c
+    for eid in cut:
+        val += caps[eid]
     if val != res.value:
         raise InfeasibleFlowError(
             f"min-cut {val} does not match max-flow {res.value}")

@@ -11,7 +11,13 @@ indexed by dart, vertex or face id:
   the arcs are grouped by tail face so an SSSP relaxation scans
   ``dual_arc_dart[dual_indptr[f] : dual_indptr[f+1]]`` contiguously;
 * the primal rotation system in CSR form (``prim_indptr`` /
-  ``prim_darts``) for residual-reachability sweeps.
+  ``prim_darts``), read as per-vertex ``(dart, head)`` lists
+  (:meth:`CompiledPlanarGraph.adjacency`) by the Miller–Naor path
+  search (:meth:`CompiledPlanarGraph.st_path_darts`) and the residual
+  sweep of :func:`repro.core.mincut._cut_from_flow`;
+* with numpy, int64 copies of ``face_left``, ``dart_tail`` and
+  ``dart_head`` (:meth:`CompiledPlanarGraph.arrays`) for the flow
+  assignment and :func:`repro.core.flow_utils.validate_flow`.
 
 Arc *lengths* are deliberately not part of the compiled object: the
 Miller–Naor binary search changes them every probe, so they live in the
@@ -26,7 +32,14 @@ dual topology never depends on λ, only the lengths do.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from repro._artifacts import shared_cache, topo_token
+from repro._compat import np as _np
+from repro.errors import InfeasibleFlowError
+
+#: int64 copies of the per-dart lists (:meth:`CompiledPlanarGraph.arrays`)
+DartArrays = namedtuple("DartArrays", "face_left dart_tail dart_head")
 
 
 class CompiledPlanarGraph:
@@ -41,7 +54,7 @@ class CompiledPlanarGraph:
         "graph", "n", "m", "num_darts", "num_faces",
         "dart_head", "dart_tail", "face_left", "face_right",
         "dual_indptr", "dual_arc_dart", "dual_arc_head", "slot_of_dart",
-        "prim_indptr", "prim_darts",
+        "prim_indptr", "prim_darts", "_adjacency", "_arrays",
     )
 
     def __init__(self, graph):
@@ -98,6 +111,63 @@ class CompiledPlanarGraph:
             prim_indptr[v + 1] = prim_indptr[v] + len(graph.rotations[v])
         self.prim_indptr = prim_indptr
         self.prim_darts = [d for rot in graph.rotations for d in rot]
+        self._adjacency = None
+        self._arrays = None
+
+    def adjacency(self):
+        """Per vertex, its out-darts in rotation order as ``(dart,
+        head)`` pairs: the primal CSR as Python lists, built once."""
+        if self._adjacency is None:
+            head = self.dart_head
+            darts = self.prim_darts
+            ptr = self.prim_indptr
+            self._adjacency = [
+                [(d, head[d]) for d in darts[ptr[v]:ptr[v + 1]]]
+                for v in range(self.n)]
+        return self._adjacency
+
+    def arrays(self):
+        """:class:`DartArrays` of int64 copies of ``face_left``,
+        ``dart_tail`` and ``dart_head``, built once (numpy only)."""
+        if self._arrays is None:
+            np = _np
+            self._arrays = DartArrays(
+                *(np.asarray(a, dtype=np.int64) for a in
+                  (self.face_left, self.dart_tail, self.dart_head)))
+        return self._arrays
+
+    def st_path_darts(self, s, t):
+        """The Miller–Naor path P from ``s`` to ``t`` ignoring edge
+        directions, by BFS over :meth:`adjacency`.
+
+        Darts are scanned in rotation order, as
+        :meth:`PlanarGraph.bfs <repro.planar.graph.PlanarGraph.bfs>`
+        does, so every vertex is discovered by the same dart and P is
+        that BFS tree's path; the sweep stops once ``t`` is reached.
+        """
+        adj = self.adjacency()
+        parent = [-1] * self.n
+        seen = bytearray(self.n)
+        seen[s] = 1
+        queue = [s]
+        for u in queue:
+            for d, w in adj[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    parent[w] = d
+                    queue.append(w)
+            if seen[t]:
+                break
+        else:
+            raise InfeasibleFlowError(f"no undirected path {s} -> {t}")
+        darts = []
+        v = t
+        while v != s:
+            darts.append(parent[v])
+            v = self.dart_tail[parent[v]]
+        darts.reverse()
+        return darts
+
 
 def compile_graph(graph):
     """Compiled topology of ``graph``, cached in the shared

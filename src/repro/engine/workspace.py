@@ -414,7 +414,8 @@ class FlowWorkspace:
 
     def bind_flow_problem(self, cap, path_darts):
         """Fix the λ-independent part of the residual lengths: ``cap``
-        per dart plus the Miller–Naor path P whose darts get ∓λ."""
+        per dart (dict, sequence or, cheapest, a float64 array) plus
+        the Miller–Naor path P whose darts get ∓λ."""
         if self._vec is not None:
             v = self._vec
             self._vec_base = _dart_array(cap, len(v.in_dart))[v.in_dart]
@@ -474,16 +475,22 @@ class FlowWorkspace:
         ``parent_dart`` buffer gets the dart of one tight incoming arc
         per face (which tight arc is unspecified among ties).
         """
-        self.sssp_runs += 1
         if self._vec is not None:
-            nd = self._vec.sssp(source)
+            nd = self.sssp_array(source)
             self.dist[:] = _as_scalars(nd)
             if track_parents:
                 pd = self._vec.tight_parents(nd)
                 pd[source] = -1
                 self.parent_dart[:] = pd.tolist()
             return self.dist
+        self.sssp_runs += 1
         return self._spfa_sssp(source, track_parents)
+
+    def sssp_array(self, source):
+        """:meth:`sssp`'s distances as the vector kernel's own float64
+        array (numpy only), with no per-face Python list."""
+        self.sssp_runs += 1
+        return self._vec.sssp(source)
 
     def batched_sssp(self, sources):
         """Distance rows from every face in ``sources`` under the
