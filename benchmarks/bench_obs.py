@@ -7,7 +7,7 @@ Two acceptance gates:
    instrumented body), so with observability off the warm query path
    must cost within 2% of an uninstrumented replica.  The
    replica is exactly what ``execute_query`` did before the layer
-   existed: entry lookup, planner resolution, and the untouched
+   existed: entry lookup, backend resolution, and the untouched
    ``_serve`` core (cache probe + dispatch) — so the comparison
    isolates precisely the added branches.  Both sides run the same
    warm :class:`~repro.service.queries.DistanceQuery` mix over a grid
@@ -45,7 +45,7 @@ from repro import obs
 from repro.planar.generators import grid, randomize_weights
 from repro.server import QueryServer, ServiceClient, WarmWorkerPool
 from repro.service import DistanceQuery, GraphCatalog, execute_query
-from repro.service.queries import _serve
+from repro.service.queries import _backend, _serve
 
 
 def _make_instance(rows, cols, seed):
@@ -63,10 +63,9 @@ def _warm_queries(name, g, count, seed):
 
 
 def _uninstrumented_replica(catalog, query):
-    """The pre-obs ``execute_query`` body: lookup, plan, serve."""
+    """The pre-obs ``execute_query`` body: lookup, resolve, serve."""
     entry = catalog.get(query.graph)
-    backend = catalog.planner.plan(query, entry.graph)
-    return _serve(catalog, entry, query, backend)
+    return _serve(catalog, entry, query, _backend(query))
 
 
 def _timed_pass(serve, catalog, queries):

@@ -118,24 +118,14 @@ def flow_value_networkx(graph, s, t, directed=True):
     """Independent max-flow value via networkx (tests/benchmark oracle)."""
     import networkx as nx
 
-    if directed:
-        g = nx.DiGraph()
-        g.add_nodes_from(range(graph.n))
-        for eid, (u, v) in enumerate(graph.edges):
-            cap = graph.capacities[eid]
-            if g.has_edge(u, v):
-                g[u][v]["capacity"] += cap
-            else:
-                g.add_edge(u, v, capacity=cap)
-    else:
-        g = nx.Graph()
-        g.add_nodes_from(range(graph.n))
-        for eid, (u, v) in enumerate(graph.edges):
-            cap = graph.capacities[eid]
-            if g.has_edge(u, v):
-                g[u][v]["capacity"] += cap
-            else:
-                g.add_edge(u, v, capacity=cap)
+    g = nx.DiGraph() if directed else nx.Graph()
+    g.add_nodes_from(range(graph.n))
+    for eid, (u, v) in enumerate(graph.edges):
+        cap = graph.capacities[eid]
+        if g.has_edge(u, v):
+            g[u][v]["capacity"] += cap
+        else:
+            g.add_edge(u, v, capacity=cap)
     return nx.maximum_flow_value(g, s, t)
 
 

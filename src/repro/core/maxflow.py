@@ -21,6 +21,7 @@ t-cut bound every flow value, so the search needs at most
 
 The per-dart capacity convention covers both variants:
 directed edges carry (c(e), 0); undirected edges carry (c(e), c(e)).
+Capacities must be integral, as the paper's are: λ runs over integers.
 
 Two execution backends share this driver (DESIGN.md §6):
 
@@ -68,9 +69,17 @@ class MaxFlowResult:
 
 
 def dart_capacities(graph, directed=True):
-    """cap per dart: directed edges (c, 0); undirected (c, c)."""
+    """cap per dart: directed edges (c, 0); undirected (c, c).
+
+    Raises :class:`InfeasibleFlowError` at the first capacity that is
+    not integral (an ``int`` or an integral ``float``): the binary
+    search runs over integer λ, so a fractional max-flow value would
+    come back as its floor, or the search would never end."""
     cap = {}
     for eid, c in enumerate(graph.capacities):
+        if c % 1:
+            raise InfeasibleFlowError(f"edge {eid}: capacity {c!r} is "
+                                      f"not integral")
         cap[2 * eid] = c
         cap[2 * eid + 1] = 0 if directed else c
     return cap

@@ -1,8 +1,8 @@
 """Reusable shortest-path workspaces over the compiled dual.
 
 A :class:`FlowWorkspace` owns every buffer the dual shortest-path
-kernels need — per-slot arc lengths, distance / parent / relaxation-
-count arrays, the in-queue bitmap — sized once for a
+kernels need — per-slot arc lengths, distance / relaxation-count
+arrays, the in-queue bitmap — sized once for a
 :class:`~repro.engine.csr.CompiledPlanarGraph` and *reused across all
 probes* of a Miller–Naor binary search (and across solves on the same
 graph).  The legacy backend reallocates dict-keyed equivalents of all of
@@ -37,10 +37,8 @@ kernel reduces by ``argmin`` and records each improved face's best
 in-arc as its parent: parent arcs closing a cycle telescope to a
 nonpositive length, so a pointer-doubling sweep plus one explicit
 cycle sum is an exact negative-cycle certificate, checked every few
-passes, with the |faces|-pass limit as the completeness backstop.  A
-certificate needs *a* tight arc; only
-:meth:`_VectorDualKernel.tight_parents` promises the first in slot
-order.  Distances are float64, exact for the paper's
+passes, with the |faces|-pass limit as the completeness backstop.
+Distances are float64, exact for the paper's
 polynomially-bounded integral lengths, and returned as Python ints
 wherever integral so both backends produce identical values.
 
@@ -298,32 +296,6 @@ class _VectorDualKernel:
                 raise NegativeCycleError(where="engine-sssp")
         return dist
 
-    def tight_parents(self, dist):
-        """The first tight in-arc dart (in slot order) of every face
-        under ``dist``; -1 where none: the source and unreached faces.
-
-        Padded columns precede their face's overflow slots in slot
-        order, so an overflow arc wins only where no padded one is
-        tight."""
-        np = _np
-        pad = self._padded_layout()
-        face_len, ov_len = self._gather_lengths(pad.face_slot, pad.ov_slots)
-        nslots = len(self.in_tail)
-        cand = dist[pad.face_tail]
-        cand += face_len
-        # isfinite excludes unreached faces (inf == inf would otherwise
-        # fabricate parents among them)
-        tight = (cand == dist[:, None]) & np.isfinite(cand)
-        first = np.where(tight, pad.face_slot, nslots).min(axis=1)
-        if len(pad.wide):
-            ov = dist[pad.ov_tail]
-            ov += ov_len
-            tight = (ov == dist[pad.ov_head]) & np.isfinite(ov)
-            first[pad.wide] = np.minimum(first[pad.wide], np.minimum.reduceat(
-                np.where(tight, pad.ov_slots, nslots), pad.ov_starts))
-        # the sentinel slot nslots (no tight arc) reads dart -1
-        return np.append(self.in_dart, -1)[first]
-
 
 def _dart_array(lengths, num_darts):
     """Per-dart lengths (dict or sequence) as one float64 array."""
@@ -378,8 +350,6 @@ class FlowWorkspace:
             self._path_plus = []
         #: face id -> distance, valid after :meth:`sssp`
         self.dist = [INF] * nf
-        #: face id -> dart of a tight parent arc (-1 at source/unreached)
-        self.parent_dart = [-1] * nf
         self._cnt = [0] * nf
         self._inq = bytearray(nf)
         self._inf_row = [INF] * nf
@@ -464,27 +434,20 @@ class FlowWorkspace:
             return self._vec._run(_np.zeros(self._vec.nf))
         return self._spfa_probe()
 
-    def sssp(self, source, track_parents=False):
+    def sssp(self, source):
         """Exact SSSP over the dual arcs from face ``source`` under the
         current lengths (negative lengths allowed).
 
         Fills and returns the ``dist`` buffer (copy before the next
         kernel call if you need to keep it); unreachable faces get
         ``math.inf``.  Raises :class:`NegativeCycleError` on a negative
-        cycle *reachable from the source*.  With ``track_parents`` the
-        ``parent_dart`` buffer gets the dart of one tight incoming arc
-        per face (which tight arc is unspecified among ties).
+        cycle *reachable from the source*.
         """
         if self._vec is not None:
-            nd = self.sssp_array(source)
-            self.dist[:] = _as_scalars(nd)
-            if track_parents:
-                pd = self._vec.tight_parents(nd)
-                pd[source] = -1
-                self.parent_dart[:] = pd.tolist()
+            self.dist[:] = _as_scalars(self.sssp_array(source))
             return self.dist
         self.sssp_runs += 1
-        return self._spfa_sssp(source, track_parents)
+        return self._spfa_sssp(source)
 
     def sssp_array(self, source):
         """:meth:`sssp`'s distances as the vector kernel's own float64
@@ -506,7 +469,7 @@ class FlowWorkspace:
         self.sssp_runs += len(sources)
         if self._vec is not None:
             return self._vec.multi_sssp(sources)
-        return [list(self._spfa_sssp(s, False)) for s in sources]
+        return [list(self._spfa_sssp(s)) for s in sources]
 
     # ------------------------------------------------------------------
     # pure-Python fallbacks (numpy-free environments)
@@ -553,7 +516,7 @@ class FlowWorkspace:
                         q.append(h)
         return False
 
-    def _spfa_sssp(self, source, track_parents):
+    def _spfa_sssp(self, source):
         c = self.compiled
         nf = c.num_faces
         dist = self.dist
@@ -562,12 +525,8 @@ class FlowWorkspace:
         cnt[:] = self._zero_row
         inq = self._inq
         inq[:] = bytes(nf)
-        parent = self.parent_dart
-        if track_parents:
-            parent[:] = [-1] * nf
         indptr = c.dual_indptr
         arc_head = c.dual_arc_head
-        arc_dart = c.dual_arc_dart
         al = self._slot_lengths()
         limit = nf + 1
         dist[source] = 0
@@ -582,8 +541,6 @@ class FlowWorkspace:
                 nd = du + al[s]
                 if nd < dist[h]:
                     dist[h] = nd
-                    if track_parents:
-                        parent[h] = arc_dart[s]
                     ch = cnt[h] + 1
                     if ch > limit:
                         raise NegativeCycleError(where="engine-sssp")

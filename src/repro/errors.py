@@ -39,7 +39,7 @@ class SimulationError(ReproError):
 
 class ServiceError(ReproError):
     """The serving layer was asked for an unknown graph or an invalid
-    query (e.g. a backend the planner does not recognize)."""
+    query (e.g. a backend it does not recognize)."""
 
 
 class AuditError(ServiceError):

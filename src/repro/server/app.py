@@ -70,20 +70,16 @@ class QueryServer:
     (the in-process embedding the tests and the example use).
     """
 
-    def __init__(self, pool, host="127.0.0.1", port=0,
-                 flight_recorder=None):
+    def __init__(self, pool, host="127.0.0.1", port=0):
         self.pool = pool
         # the flight recorder (DESIGN.md §15) is a span sink living in
         # the server process, where worker deltas are ingested: with
-        # observability on it is created (or adopted) here and
-        # registered so the ``exemplars`` verb has trees to dump
-        self._own_recorder = False
-        if flight_recorder is None and obs.enabled():
-            flight_recorder = obs.FlightRecorder()
-            self._own_recorder = True
-        self.flight_recorder = flight_recorder
-        if flight_recorder is not None:
-            obs.add_sink(flight_recorder)
+        # observability on it is created here and registered so the
+        # ``exemplars`` verb has trees to dump
+        self.flight_recorder = None
+        if obs.enabled():
+            self.flight_recorder = obs.FlightRecorder()
+            obs.add_sink(self.flight_recorder)
         self._server = _TCPServer((host, port), _Handler)
         self._server.app = self
         self._thread = None
@@ -109,7 +105,7 @@ class QueryServer:
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
-        if self.flight_recorder is not None and self._own_recorder:
+        if self.flight_recorder is not None:
             obs.remove_sink(self.flight_recorder)
 
     def __enter__(self):

@@ -55,6 +55,8 @@ from repro.server import wire
 from repro.service.queries import execute_query
 
 _PREWARM_KINDS = ("flow", "cut", "distance", "girth")
+#: queries in flight per worker: one running, one queued behind it
+_WINDOW = 2
 
 
 def _execute(catalog, query, bodies=None):
@@ -152,13 +154,6 @@ def _worker_main(worker_id, catalog, snapshot, command_q, result_q,
                 # the weights and dropped the labelings first, so the
                 # worker converges to the master's state
                 pass
-        elif verb == "obs":
-            _, on = msg
-            if on:
-                obs.enable()
-                obs.configure_shipping(True)
-            else:
-                obs.disable()
         elif verb == "audit":
             _, job_id, name, leaf_size, backend = msg
             try:
@@ -201,23 +196,23 @@ class WarmWorkerPool:
     the portable fallback and the zero-overhead choice for tests and
     single-tenant embedding.  ``start_method`` pins the multiprocessing
     start method (default: ``fork`` where available, else ``spawn``).
+    ``audit_interval`` (seconds) opts into an engine labeling audit of
+    every graph on the watchdog's idle ticks; :meth:`health` reports
+    the last one and breaches on a failure.
 
     Use as a context manager, or call :meth:`close` — forked children
     are daemons, but closing promptly frees their catalog copies.
     """
 
-    def __init__(self, workers=None, catalog=None, planner=None,
-                 start_method=None, window=2, slos=None,
+    def __init__(self, workers=None, start_method=None, slos=None,
                  heartbeat_interval=0.25, stall_after=30.0,
-                 audit_interval=None, audit_backend="engine"):
+                 audit_interval=None):
         from repro.service.catalog import GraphCatalog
 
         if workers is None:
             workers = max(1, min(4, os.cpu_count() or 1))
         if workers < 0:
             raise ServiceError("workers must be >= 0")
-        if window < 1:
-            raise ServiceError("window must be >= 1")
         if heartbeat_interval <= 0 or stall_after <= 0:
             raise ServiceError("heartbeat_interval and stall_after "
                                "must be positive")
@@ -225,10 +220,8 @@ class WarmWorkerPool:
             raise ServiceError("audit_interval must be positive "
                                "(or None to disable)")
         self.workers = workers
-        self.window = window
         self.start_method = start_method
-        self.catalog = catalog if catalog is not None \
-            else GraphCatalog(planner=planner)
+        self.catalog = GraphCatalog()
         # the workers=0 mode's encoded bodies (each worker owns its own)
         self._bodies = wire.BodyMemo(self.catalog.results.maxsize)
         #: declarative SLOs the ``health`` verb evaluates (iterable of
@@ -261,7 +254,6 @@ class WarmWorkerPool:
         self._watchdog_stop = threading.Event()
         # background audit scheduler (opt-in)
         self._audit_interval = audit_interval
-        self._audit_backend = audit_backend
         self._audit_at = None              # monotonic of last run
         self._last_audit = None            # last run's report dict
 
@@ -612,32 +604,9 @@ class WarmWorkerPool:
         Empty dict when observability never ran."""
         return obs.registry().snapshot()
 
-    def sync_obs(self):
-        """Broadcast the master's current :func:`repro.obs.enabled`
-        state to every worker — for toggling observability on a pool
-        that is already started (workers forked while it was off, or
-        vice versa)."""
-        self._broadcast(("obs", obs.enabled()))
-
     # ------------------------------------------------------------------
     # health (DESIGN.md §15)
     # ------------------------------------------------------------------
-    def enable_background_audit(self, interval, backend=None):
-        """Opt into periodic :meth:`~repro.service.catalog.GraphCatalog.
-        audit_labeling` of every registered graph on the watchdog's
-        idle ticks (no pending, nothing in flight).  The last report is
-        surfaced through :meth:`health`; an audit failure flips the
-        health status to ``breach``.  ``interval`` is seconds between
-        runs; may also be set at construction via ``audit_interval``."""
-        if interval is None or interval <= 0:
-            raise ServiceError("audit interval must be positive")
-        self._audit_interval = interval
-        if backend is not None:
-            self._audit_backend = backend
-        if self._started and not self._closed \
-                and self._watchdog is None:
-            self._start_watchdog()
-
     def health(self, now=None):
         """Liveness/readiness report for the ``health`` wire verb.
 
@@ -752,12 +721,12 @@ class WarmWorkerPool:
 
     def _fill(self):
         """Dispatch pending queries to the least-loaded live workers,
-        bounded by ``window`` in-flight per worker.  Caller holds the
+        bounded by :data:`_WINDOW` in flight per worker.  Caller holds the
         lock."""
         while self._pending:
             candidates = [(count, wid)
                           for wid, count in self._inflight.items()
-                          if wid not in self._dead and count < self.window]
+                          if wid not in self._dead and count < _WINDOW]
             if not candidates:
                 return
             count, wid = min(candidates)
@@ -926,8 +895,7 @@ class WarmWorkerPool:
         for name in names:
             try:
                 with self._lock:
-                    self.catalog.audit_labeling(
-                        name, backend=self._audit_backend)
+                    self.catalog.audit_labeling(name)
                 report["graphs"][name] = "ok"
             except Exception as exc:
                 report["ok"] = False

@@ -11,9 +11,9 @@ registered once*.  This layer closes the gap:
   pools) and of memoized query results, keyed by weight/capacity
   fingerprints so in-place mutation can never serve stale answers;
 * :mod:`~repro.service.queries` — typed requests (:class:`FlowQuery`,
-  :class:`CutQuery`, :class:`GirthQuery`, :class:`DistanceQuery`), one
-  :class:`QueryPlanner` resolving each to the legacy or engine backend,
-  and :func:`execute_query`;
+  :class:`CutQuery`, :class:`GirthQuery`, :class:`DistanceQuery`), each
+  naming the legacy or engine backend (``auto`` is the engine), and
+  :func:`execute_query`;
 * :mod:`~repro.service.batch` — :func:`run_batch` for many queries over
   one hot catalog, :func:`run_sharded` for multi-graph fan-out over
   worker processes.
@@ -38,7 +38,6 @@ from repro.service.queries import (
     DistanceQuery,
     FlowQuery,
     GirthQuery,
-    QueryPlanner,
     QueryResult,
     execute_query,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "CutQuery",
     "GirthQuery",
     "DistanceQuery",
-    "QueryPlanner",
     "QueryResult",
     "execute_query",
     "BatchReport",

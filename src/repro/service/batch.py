@@ -64,15 +64,14 @@ class BatchReport:
         return rows
 
 
-def run_batch(catalog, queries, planner=None):
+def run_batch(catalog, queries):
     """Serve ``queries`` (any mix of types/graphs) through ``catalog``.
 
     Returns a :class:`BatchReport`; ``report.results[i]`` answers
     ``queries[i]``.
     """
     t0 = time.perf_counter()
-    results = [execute_query(catalog, q, planner=planner)
-               for q in queries]
+    results = [execute_query(catalog, q) for q in queries]
     return BatchReport(results=results,
                        seconds=time.perf_counter() - t0)
 

@@ -180,15 +180,10 @@ class GraphCatalog:
     ``max_results`` bounds the memoized query results.
     """
 
-    def __init__(self, max_artifacts=64, max_results=4096, planner=None):
+    def __init__(self, max_artifacts=64, max_results=4096):
         self._entries = {}
         self.artifacts = ArtifactCache(maxsize=max_artifacts)
         self.results = ArtifactCache(maxsize=max_results)
-        if planner is None:
-            from repro.service.queries import QueryPlanner
-
-            planner = QueryPlanner()
-        self.planner = planner
 
     # ------------------------------------------------------------------
     # registration
@@ -496,12 +491,12 @@ class GraphCatalog:
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
-    def serve(self, query, planner=None):
+    def serve(self, query):
         """Execute one typed query; returns a
         :class:`~repro.service.queries.QueryResult`."""
         from repro.service.queries import execute_query
 
-        return execute_query(self, query, planner=planner)
+        return execute_query(self, query)
 
     def stats(self):
         """Cache observability: artifact/result cache counters plus the
@@ -514,18 +509,17 @@ class GraphCatalog:
     # ------------------------------------------------------------------
     # warm-state handoff
     # ------------------------------------------------------------------
-    def snapshot(self, include_results=True):
+    def snapshot(self):
         """Capture the catalog's warm state as a picklable
         :class:`CatalogSnapshot` — the pre-fork handoff of the
         :class:`~repro.server.pool.WarmWorkerPool` (DESIGN.md §10).
 
-        Captured: the registered graphs, the planner, every picklable
-        artifact and (optionally) memoized result, and the graphs'
-        entries in the engine's process-wide shared cache (compiled CSR,
-        compiled labeling bags, cycle oracles).  An artifact that fails a
-        pickle probe is *not* captured; its key is recorded under
-        ``snapshot.skipped`` instead, and a restored catalog rebuilds
-        it on first use.
+        Captured: the registered graphs, every picklable artifact and
+        memoized result, and the graphs' entries in the engine's
+        process-wide shared cache (compiled CSR, compiled labeling
+        bags, cycle oracles).  An artifact that fails a pickle probe is
+        *not* captured; its key is recorded under ``snapshot.skipped``
+        instead, and a restored catalog rebuilds it on first use.
 
         The snapshot holds *live references*; pickling it (what a
         ``spawn`` worker handoff does) copies everything in one payload,
@@ -558,9 +552,8 @@ class GraphCatalog:
         return CatalogSnapshot(
             graphs=graphs,
             tokens=tokens,
-            planner=self.planner if _picklable(self.planner) else None,
             artifacts=capture(self.artifacts),
-            results=capture(self.results) if include_results else [],
+            results=capture(self.results),
             shared=shared,
             skipped=skipped,
             max_artifacts=self.artifacts.maxsize,
@@ -666,14 +659,13 @@ class CatalogSnapshot:
     catalogs must not see each other's weight mutations.
     """
 
-    def __init__(self, graphs, tokens, planner, artifacts, results,
-                 shared, skipped, max_artifacts, max_results):
+    def __init__(self, graphs, tokens, artifacts, results, shared,
+                 skipped, max_artifacts, max_results):
         self.graphs = graphs
         #: name -> topology token at snapshot time (process-local ids;
         #: :meth:`restore` re-keys shared entries to the tokens the
         #: receiving process assigns)
         self.tokens = tokens
-        self.planner = planner
         self.artifacts = artifacts
         self.results = results
         self.shared = shared
@@ -694,8 +686,7 @@ class CatalogSnapshot:
         built here.
         """
         catalog = GraphCatalog(max_artifacts=self.max_artifacts,
-                               max_results=self.max_results,
-                               planner=self.planner)
+                               max_results=self.max_results)
         for name, graph in self.graphs.items():
             catalog.register(name, graph)
         remap = {old: topo_token(self.graphs[name])

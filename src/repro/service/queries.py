@@ -1,4 +1,4 @@
-"""Typed queries, the backend planner, and single-query execution
+"""Typed queries, backend resolution, and single-query execution
 (DESIGN.md §8).
 
 A query is a frozen (hashable) dataclass naming a registered graph plus
@@ -10,13 +10,14 @@ the parameters of one theorem entry point:
 * :class:`DistanceQuery` → dual distance decoded straight from the
   cached :class:`~repro.labeling.DualDistanceLabeling` (Lemma 2.2)
 
-Execution goes through one :class:`QueryPlanner` that resolves each
-query to a backend (``legacy`` — the round-audited reference, or
-``engine`` — the compiled-array fast path; for a distance query the
-backend selects how the cold Theorem 2.1 labeling build runs — the
-warm path always decodes from the cached labels), then
-:func:`execute_query` dispatches with every level of amortization the
-catalog offers:
+Each query names a backend: ``legacy`` — the round-audited reference,
+``engine`` — the compiled-array fast path, or ``auto`` (the default),
+which resolves to ``engine``: it is output-identical, and the legacy
+backend exists for round audits, which a serving path does not
+produce.  For a distance query the backend selects how the cold
+Theorem 2.1 labeling build runs — the warm path always decodes from
+the cached labels.  :func:`execute_query` dispatches with every level
+of amortization the catalog offers:
 
 1. **result memoization** — the resolved ``(query, backend)`` pair plus
    the graph's current weight/capacity fingerprint keys a result cache,
@@ -48,7 +49,7 @@ from repro import obs
 from repro.errors import ServiceError
 from repro.obs import trace as _obs_trace
 
-#: backends a query may request; ``auto`` defers to the planner
+#: backends a query may request; ``auto`` resolves to ``engine``
 QUERY_BACKENDS = ("auto", "legacy", "engine")
 
 _MISS = object()
@@ -100,7 +101,7 @@ class DistanceQuery:
     Theorem 2.1 construction runs on a miss (and after a
     ``set_weights`` reprice): the compiled-array builder of
     :mod:`repro.engine.labels` or the round-audited legacy recursion,
-    resolved by the planner exactly like every other query type.
+    resolved exactly like every other query type.
     """
 
     graph: str
@@ -142,44 +143,17 @@ class QueryResult:
     retried: bool = False
 
 
-class QueryPlanner:
-    """Resolves each query to an execution backend.
-
-    ``auto`` routes queries to the engine once the graph has at least
-    ``engine_min_n`` vertices (default 0: always engine — it is
-    output-identical, and the legacy backend exists for round audits,
-    which a serving path does not produce).  The engine wins by growing
-    factors as instances grow; on very small graphs its setup overhead
-    can lose to legacy (e.g. the labeling build at n ≲ 100, see
-    EXPERIMENTS.md E12), which is exactly what ``engine_min_n`` is for.
-    The rule is uniform across *every* query type — flow, cut, girth,
-    and the cold labeling build behind a :class:`DistanceQuery` — and
-    an explicit ``backend=`` on the query always wins, so callers can
-    pin the reference path per query.
-    """
-
-    def __init__(self, default_backend="engine", engine_min_n=0):
-        if default_backend not in ("legacy", "engine"):
-            raise ServiceError(f"unknown default backend "
-                               f"{default_backend!r}")
-        self.default_backend = default_backend
-        self.engine_min_n = engine_min_n
-
-    def plan(self, query, graph):
-        """The backend ``query`` runs on against ``graph``."""
-        backend = query.backend
-        if backend not in QUERY_BACKENDS:
-            raise ServiceError(f"unknown backend {backend!r}; expected "
-                               f"one of {QUERY_BACKENDS}")
-        if backend != "auto":
-            return backend
-        if self.default_backend == "engine" \
-                and graph.n >= self.engine_min_n:
-            return "engine"
-        return "legacy"
+def _backend(query):
+    """The backend ``query`` runs on: an explicit ``backend`` wins and
+    ``auto`` is the engine."""
+    backend = query.backend
+    if backend not in QUERY_BACKENDS:
+        raise ServiceError(f"unknown backend {backend!r}; expected "
+                           f"one of {QUERY_BACKENDS}")
+    return "engine" if backend == "auto" else backend
 
 
-def execute_query(catalog, query, planner=None):
+def execute_query(catalog, query):
     """Serve one typed query from a :class:`~repro.service.catalog.
     GraphCatalog`; returns a :class:`QueryResult`.
 
@@ -202,19 +176,14 @@ def execute_query(catalog, query, planner=None):
     # obs.enabled(), because the call alone would be ~1% of it
     if not _obs_trace._enabled:
         entry = catalog.get(query.graph)
-        if planner is None:
-            planner = catalog.planner
-        backend = planner.plan(query, entry.graph)
-        return _serve(catalog, entry, query, backend)
+        return _serve(catalog, entry, query, _backend(query))
     kind = type(query).__name__
     with obs.span("query.execute", kind=kind,
                   graph=query.graph) as sp:
         t0 = time.perf_counter()
         try:
             entry = catalog.get(query.graph)
-            if planner is None:
-                planner = catalog.planner
-            backend = planner.plan(query, entry.graph)
+            backend = _backend(query)
             sp.tag(backend=backend)
             r = _serve(catalog, entry, query, backend)
         except Exception:

@@ -329,13 +329,12 @@ def replay_scenario(scenario, executor, audit=True, leaf_size=None):
     return log
 
 
-def reference_replay(scenario, audit=True, leaf_size=None,
-                     planner=None):
+def reference_replay(scenario, audit=True, leaf_size=None):
     """The single-threaded ground truth: replay against a fresh
     private :class:`~repro.service.catalog.GraphCatalog`."""
     from repro.service.catalog import GraphCatalog
 
-    catalog = GraphCatalog(planner=planner)
+    catalog = GraphCatalog()
     return replay_scenario(scenario, CatalogExecutor(catalog),
                            audit=audit, leaf_size=leaf_size)
 

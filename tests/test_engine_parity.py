@@ -178,7 +178,7 @@ def test_workspace_reuse_and_fallback_kernels():
     for src in (0, 3):
         if ws._vec is not None:
             vec = [x for x in ws.sssp(src)]
-            spfa = [x for x in ws._spfa_sssp(src, track_parents=False)]
+            spfa = [x for x in ws._spfa_sssp(src)]
             assert vec == spfa
     # probe kernels agree on both signs of the answer
     ws.load_lengths(lengths)
@@ -256,21 +256,6 @@ def test_engine_backend_leaves_ledger_unaudited():
     approx_max_st_flow(randomize_weights(grid(4, 5), seed=8), 0, 19,
                        backend="engine", ledger=led)
     assert led.total() == 0
-
-
-def test_track_parents_unreachable_faces():
-    """Faces in a different component of the dual keep parent -1."""
-    from repro.planar import PlanarGraph
-
-    g = PlanarGraph(4, [(0, 1), (2, 3)], [[0], [1], [2], [3]])
-    ws = FlowWorkspace(compile_graph(g))
-    ws.load_lengths({d: 1 for d in g.darts()})
-    src = g.face_of[0]
-    other = g.face_of[2]
-    dist = ws.sssp(src, track_parents=True)
-    assert dist[other] == float("inf")
-    assert ws.parent_dart[other] == -1
-    assert ws.parent_dart[src] == -1
 
 
 def test_compile_graph_cached():

@@ -15,9 +15,7 @@ floats:
 * the per-pass ``minimum.reduceat`` over all slots that the layout
   replaced (kept here as a reference).
 
-``tight_parents`` must still pick the first tight in-arc of every face
-in slot order, and ``_as_scalars`` must type every distance as
-``_as_scalar`` does.
+``_as_scalars`` must type every distance as ``_as_scalar`` does.
 
 The slices come from real BDDs (a triangulation with faces of in-degree
 up to 8 and padded faces of global dart ``-1``, and a grid whose outer
@@ -97,7 +95,7 @@ def assert_kernel_rows(sl, lengths, sources):
         assert np.array_equal(fresh._vec.len_in, ws._vec.len_in)
         assert np.array_equal(rows, reduceat_multi_sssp(ws._vec, sources))
         for row, s in zip(rows.tolist(), sources):
-            assert row == list(fresh._spfa_sssp(s, False))
+            assert row == list(fresh._spfa_sssp(s))
             assert ws.sssp(s) == row
 
 
@@ -184,7 +182,7 @@ def test_negative_cycle_raises_engine_sssp(family):
             sl.workspace.sssp(sl.face_left[real])
         assert exc.value.where == "engine-sssp"
         with pytest.raises(NegativeCycleError):
-            sl.workspace._spfa_sssp(0, False)
+            sl.workspace._spfa_sssp(0)
         checked += 1
     assert checked
 
@@ -236,48 +234,8 @@ def test_set_lambda_between_loads_matches_fresh_workspace():
 
 
 # ----------------------------------------------------------------------
-# tight parents and scalar conversion
+# scalar conversion
 # ----------------------------------------------------------------------
-def csr_first_tight(compiled, lengths, dist):
-    """The first tight in-arc dart of every face by a scan of its CSR
-    slots in order (-1 where none)."""
-    out = []
-    for f in range(compiled.num_faces):
-        first = -1
-        for s in range(compiled.dual_indptr[f], compiled.dual_indptr[f + 1]):
-            d = compiled.dual_arc_dart[s] ^ 1
-            cand = dist[compiled.face_left[d]] + lengths[d]
-            if cand == dist[f] and cand < INF:
-                first = d
-                break
-        out.append(first)
-    return out
-
-
-def test_tight_parents_first_in_slot_order():
-    """Unit lengths on a grid tie often, and its outer face is wider
-    than ``PAD_WIDTH``: its first tight arc is sometimes a padded
-    column and sometimes an overflow slot."""
-    g = grid(6, 6)
-    compiled = compile_graph(g)
-    lengths = {d: 1 for d in g.darts()}
-    ws = FlowWorkspace(compiled)
-    ws.load_lengths(lengths)
-    indptr = compiled.dual_indptr
-    outer = int(np.argmax(np.diff(indptr)))
-    assert indptr[outer + 1] - indptr[outer] > PAD_WIDTH
-    slot_of_outer_parent = set()
-    for src in range(compiled.num_faces):
-        ws.sssp(src, track_parents=True)
-        want = csr_first_tight(compiled, lengths, ws.dist)
-        want[src] = -1
-        assert ws.parent_dart == want
-        if src != outer:
-            slot = compiled.slot_of_dart[want[outer] ^ 1]
-            slot_of_outer_parent.add(slot - indptr[outer] >= PAD_WIDTH)
-    assert slot_of_outer_parent == {False, True}
-
-
 def test_as_scalars_matches_as_scalar():
     m = np.array([[1.0, 0.5, -2.5, INF, 3.0],
                   [-INF, -0.0, 2.0 ** 53 + 2, 2.0 ** 64, -(2.0 ** 64)],

@@ -140,24 +140,34 @@ def test_integer_capacities_array_path_equals_loop(name, directed,
             assert _outcome(g, s, t, directed) == loop
 
 
-@needs_numpy
-@pytest.mark.parametrize("directed", [True, False])
-def test_float_capacities_take_the_loop(directed, monkeypatch):
-    """Half-integral capacities away from s and t: the trivial-cut
-    bracket stays integral, the distances do not."""
-    base = randomize_weights(grid(5, 5), seed=5, directed_capacities=True)
-    fallbacks = []
-    real = maxflow._as_scalars
-    for s, t in ((0, 24), (24, 0), (6, 18)):
-        g = base.copy(capacities=[
-            c if {s, t} & set(base.edges[e]) else c + 0.5
-            for e, c in enumerate(base.capacities)])
-        loop = _loop_outcome(g, s, t, directed, monkeypatch)
-        with monkeypatch.context() as mp:
-            mp.setattr(maxflow, "_as_scalars",
-                       lambda a: fallbacks.append(s) or real(a))
-            assert _outcome(g, s, t, directed) == loop
-    assert fallbacks
+def _fractional_instance():
+    """Capacities ``c + 0.25·(eid mod 3)``: the trivial-cut bound of
+    the undirected pair (23, 11) is 24.5, and networkx gives 24.5 for
+    the directed pair (0, 24)."""
+    g = randomize_weights(grid(5, 5), seed=5, directed_capacities=True)
+    return g.copy(capacities=[c + 0.25 * (e % 3)
+                              for e, c in enumerate(g.capacities)])
+
+
+@pytest.mark.parametrize("directed, s, t", [(False, 23, 11),
+                                            (True, 0, 24)])
+def test_fractional_capacities_rejected(directed, s, t, monkeypatch):
+    """A fractional capacity is refused by both backends and by the
+    loop path, naming the first such edge; the search over integer λ
+    would return the floor or never end."""
+    g = _fractional_instance()
+
+    def refused(backend):
+        with pytest.raises(InfeasibleFlowError,
+                           match="edge 1: capacity 18.25 is not integral"):
+            PlanarMaxFlow(g, directed=directed, backend=backend).solve(s, t)
+
+    refused("legacy")
+    refused("engine")
+    with monkeypatch.context() as mp:
+        mp.setattr(maxflow, "_np", None)
+        mp.setattr(flow_utils, "_np", None)
+        refused("engine")
 
 
 @needs_numpy

@@ -487,13 +487,14 @@ def test_background_audit_scheduler_runs_on_idle():
 
 
 def test_enable_background_audit_after_start():
-    pool = WarmWorkerPool(workers=0)
+    """The audit scheduler waits for start(): a configured pool has no
+    audit report until its watchdog runs."""
+    pool = WarmWorkerPool(workers=0, audit_interval=0.05)
     pool.register("g", make_grid())
     pool.prewarm(kinds=("distance",))
+    assert pool.health()["audit"] is None
     pool.start()
     try:
-        assert pool.health()["audit"] is None
-        pool.enable_background_audit(0.05)
         assert wait_for(lambda: pool.health()["audit"] is not None,
                         timeout=15.0)
     finally:
@@ -507,5 +508,3 @@ def test_pool_constructor_validation():
         WarmWorkerPool(workers=1, stall_after=0.0)
     with pytest.raises(ServiceError):
         WarmWorkerPool(workers=1, audit_interval=0.0)
-    with pytest.raises(ServiceError):
-        WarmWorkerPool(workers=0).enable_background_audit(0)

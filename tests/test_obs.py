@@ -627,9 +627,8 @@ class TestDisabledGate:
 # ----------------------------------------------------------------------
 #: (module under src/repro, enclosing function) -> reads allowed there
 _SWITCH_READS = {
-    # fork workers in shipping mode, re-broadcast a toggle
+    # fork workers in shipping mode
     ("server/pool.py", "WarmWorkerPool.start"): 1,
-    ("server/pool.py", "WarmWorkerPool.sync_obs"): 1,
     # the stats ``metrics`` section and SLO evaluation exist only on
     ("server/pool.py", "WarmWorkerPool.stats"): 1,
     ("server/pool.py", "WarmWorkerPool.health"): 1,

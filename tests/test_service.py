@@ -33,11 +33,11 @@ from repro.service import (
     FlowQuery,
     GirthQuery,
     GraphCatalog,
-    QueryPlanner,
     default_dual_lengths,
     run_batch,
     run_sharded,
 )
+from repro.service.queries import _backend
 
 BACKENDS = ["legacy", "engine"]
 
@@ -615,56 +615,43 @@ def test_cut_sweep_checks_still_raise():
 
 
 # ----------------------------------------------------------------------
-# planner
+# backend resolution
 # ----------------------------------------------------------------------
+def _every_query_type(backend):
+    return [FlowQuery("g", 0, 1, backend=backend),
+            CutQuery("g", 0, 1, backend=backend),
+            GirthQuery("g", backend=backend),
+            DistanceQuery("g", 0, 1, backend=backend)]
+
+
 class TestPlanner:
     def test_auto_routes_to_engine_by_default(self):
-        g = make_grid()
-        assert QueryPlanner().plan(FlowQuery("g", 0, 1), g) == "engine"
-
-    def test_engine_min_n_keeps_small_graphs_on_legacy(self):
-        g = make_grid()
-        planner = QueryPlanner(engine_min_n=g.n + 1)
-        assert planner.plan(FlowQuery("g", 0, 1), g) == "legacy"
-        assert planner.plan(GirthQuery("g"), g) == "legacy"
+        for q in _every_query_type("auto"):
+            assert _backend(q) == "engine", type(q).__name__
+        cat = GraphCatalog()
+        cat.register("g", make_grid())
+        assert cat.serve(FlowQuery("g", 0, 1)).backend == "engine"
 
     def test_explicit_backend_wins(self):
-        g = make_grid()
-        planner = QueryPlanner(engine_min_n=10 ** 9)
-        q = FlowQuery("g", 0, 1, backend="engine")
-        assert planner.plan(q, g) == "engine"
-
-    def test_engine_min_n_uniform_across_query_types(self):
-        """Regression: the threshold must gate *every* query type the
-        same way — including the cold labeling build behind a
-        DistanceQuery (it used to be special-cased as "labels")."""
-        g = make_grid()
-        queries = [FlowQuery("g", 0, 1), CutQuery("g", 0, 1),
-                   GirthQuery("g"), DistanceQuery("g", 0, 1)]
-        below = QueryPlanner(engine_min_n=g.n + 1)
-        above = QueryPlanner(engine_min_n=g.n)
-        for q in queries:
-            assert below.plan(q, g) == "legacy", type(q).__name__
-            assert above.plan(q, g) == "engine", type(q).__name__
+        for backend in BACKENDS:
+            for q in _every_query_type(backend):
+                assert _backend(q) == backend, type(q).__name__
 
     def test_explicit_backend_wins_for_distance(self):
-        g = make_grid()
-        planner = QueryPlanner(engine_min_n=10 ** 9)
-        q = DistanceQuery("g", 0, 1, backend="engine")
-        assert planner.plan(q, g) == "engine"
-        planner = QueryPlanner(engine_min_n=0)
-        q = DistanceQuery("g", 0, 1, backend="legacy")
-        assert planner.plan(q, g) == "legacy"
+        cat = GraphCatalog()
+        cat.register("g", make_grid())
+        for backend in BACKENDS:
+            q = DistanceQuery("g", 0, 1, backend=backend)
+            assert cat.serve(q).backend == backend
 
     def test_bad_backend_rejected(self):
-        g = make_grid()
+        for q in _every_query_type("vroom"):
+            with pytest.raises(ServiceError):
+                _backend(q)
+        cat = GraphCatalog()
+        cat.register("g", make_grid())
         with pytest.raises(ServiceError):
-            QueryPlanner().plan(FlowQuery("g", 0, 1, backend="vroom"), g)
-        with pytest.raises(ServiceError):
-            QueryPlanner().plan(DistanceQuery("g", 0, 1,
-                                              backend="vroom"), g)
-        with pytest.raises(ServiceError):
-            QueryPlanner(default_backend="vroom")
+            cat.serve(FlowQuery("g", 0, 1, backend="vroom"))
 
 
 # ----------------------------------------------------------------------
