@@ -185,9 +185,11 @@ def shared_cache():
 
     Holds the compiled CSR topologies (:func:`repro.engine.csr.
     compile_graph`), the girth cycle oracles (:class:`repro.
-    aggregation.dual_sim.DualMAHost`) and the compiled labeling bag
-    arrays (:func:`repro.engine.labels.compile_labeling_bags` — keyed
-    by topology token so weight-only repricings reuse them); a
+    aggregation.dual_sim.DualMAHost`, one per topology, whose arc
+    lengths are synced with the weights on each use) and the compiled
+    labeling bag arrays (:func:`repro.engine.labels.
+    compile_labeling_bags`); all three are keyed by topology token, so
+    weight-only repricings reuse them; a
     :class:`repro.service.catalog.GraphCatalog` layers its own private
     cache on top for named-graph artifacts and query results.
 

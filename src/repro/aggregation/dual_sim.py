@@ -14,17 +14,19 @@ the ledger.
 
 ``backend="engine"`` builds the *array-backed* host instead
 (DESIGN.md §7): no shortcut machinery, no Ĝ, no round conversion — the
-host compiles the primal topology once and serves the dart-level cycle
-oracle that the engine paths of girth (Theorem 1.7) and directed global
-min-cut (Theorem 1.5) extract dual cuts from, by cycle-cut duality
-(Fact 3.1).  On this backend :meth:`charge` is a no-op and
-``pa_rounds`` is 0: the engine leaves the ledger unaudited, exactly
-like the flow engine (DESIGN.md §2/§6).
+host serves the dart-level cycle oracle of the primal topology that the
+engine girth (Theorem 1.7) extracts dual cuts from, by cycle-cut duality
+(Fact 3.1).  There is one oracle per topology in the shared cache; a
+weight write rewrites only the written edges' arcs on the next use, and
+the oracle keeps the last girth cycle to bound the next sweep.  On this
+backend :meth:`charge` is a no-op and ``pa_rounds`` is 0: the engine
+leaves the ledger unaudited, exactly like the flow engine (DESIGN.md
+§2/§6).
 """
 
 from __future__ import annotations
 
-from repro._artifacts import graph_fingerprint, shared_cache
+from repro._artifacts import shared_cache, topo_token
 from repro.aggregation.model import MinorAggregationGraph
 
 BACKENDS = ("legacy", "engine")
@@ -49,23 +51,13 @@ class DualMAHost:
         else:
             self.pa = None
             self.dual = None
-            # shared-cached like compile_graph, so repeated engine hosts
-            # reuse one loaded oracle; keyed on the weight fingerprint
-            # (arc lengths are baked in, unlike the topology-only CSR
-            # cache), so in-place weight mutation misses rather than
-            # serving a stale oracle
-            fp = graph_fingerprint(primal)
+            from repro.engine.cycles import PrimalCycleOracle
+
+            # shared-cached like compile_graph, one oracle per topology:
+            # engine_cycle_oracle syncs its arc lengths with the weights
             self._oracle = shared_cache().get_or_build(
-                ("cycle-oracle", fp.topo, fp.weights),
-                lambda: self._build_oracle(primal))
-
-    @staticmethod
-    def _build_oracle(primal):
-        from repro.engine.cycles import DartCycleOracle, primal_cycle_arcs
-
-        oracle = DartCycleOracle(primal.n)
-        oracle.load_arcs(primal_cycle_arcs(primal))
-        return oracle
+                ("cycle-oracle", topo_token(primal)),
+                lambda: PrimalCycleOracle(primal))
 
     @property
     def pa_rounds(self):
@@ -94,14 +86,16 @@ class DualMAHost:
         return MinorAggregationGraph(faces, edges, weights=w)
 
     def engine_cycle_oracle(self):
-        """The compiled-primal cycle oracle of the engine backend.
+        """The primal cycle oracle of the engine backend, its arc
+        lengths synced with the primal's current weights.
 
         Minimum cuts of G* are minimum dart-simple cycles of the primal
-        (Fact 3.1); the oracle is loaded once per host and its buffers
-        are shared by every candidate-vertex query."""
+        (Fact 3.1); the oracle is loaded once per topology and its
+        buffers are shared by every candidate-vertex query."""
         if self._oracle is None:
             raise ValueError("engine_cycle_oracle requires "
                              "backend='engine'")
+        self._oracle.sync(self.primal.weights)
         return self._oracle
 
     def charge(self, ma_graph, phase, extra_detail=""):

@@ -16,9 +16,11 @@ the same duality, the minimum cut of G* *is* a minimum-weight simple
 cycle of G, extracted directly as the minimum dart-simple cycle of the
 compiled primal (one pruned two-best Dijkstra per vertex,
 :mod:`repro.engine.cycles`) — no simulation host, no tree packing, no
-round audit.  Both backends canonicalize ``cut_side_faces`` to the dual
-side not containing face 0, so on instances with a unique minimum cycle
-the results are bit-identical (``tests/test_engine_girth_parity.py``).
+round audit.  The sweep is bounded from the start by the previous girth
+cycle of the same topology, re-weighted (:func:`_warm_bound`).  Both
+backends canonicalize ``cut_side_faces`` to the dual side not
+containing face 0, so on instances with a unique minimum cycle the
+results are bit-identical (``tests/test_engine_girth_parity.py``).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 from repro.aggregation.dual_sim import DualMAHost
 from repro.aggregation.mincut_ma import minor_aggregate_mincut
 from repro.aggregation.orientation import deactivate_parallel_edges
+from repro.errors import SimulationError
 from repro.planar.dual import is_simple_cycle
 
 BACKENDS = ("legacy", "engine")
@@ -104,17 +107,44 @@ def _weighted_girth_engine(graph):
     (cycle-cut duality makes it the minimum cut of G*)."""
     from repro.engine.cycles import min_dart_simple_cycle
 
-    host = DualMAHost(graph, backend="engine")
-    best = min_dart_simple_cycle(host.engine_cycle_oracle(),
-                                 range(graph.n))
-    if best is None:  # connected graph with >= 2 faces always has one
-        return None
-    value, darts = best
-    cycle = sorted({d >> 1 for d in darts})
-    assert value == sum(graph.weights[e] for e in cycle), \
+    oracle = DualMAHost(graph, backend="engine").engine_cycle_oracle()
+    bound = _warm_bound(graph.weights, oracle.last_cycle)
+    value, darts = min_dart_simple_cycle(oracle, range(graph.n),
+                                         best=(bound, None))
+    if darts is None:
+        if bound == math.inf:  # a connected graph with >= 2 faces has one
+            return None
+        raise SimulationError(
+            f"no cycle below the warm girth bound {bound!r}")
+    # summed in walk order, as the sweep summed it: a float sum in
+    # another order may differ in the last bits
+    assert value == sum(graph.weights[d >> 1] for d in darts), \
         "cycle weight mismatch"
-    return _girth_result(graph, value, cycle, ma_rounds=0,
-                         congest_rounds=0)
+    cycle = sorted({d >> 1 for d in darts})
+    result = _girth_result(graph, value, cycle, ma_rounds=0,
+                           congest_rounds=0)
+    oracle.last_cycle = cycle
+    return result
+
+
+def _warm_bound(weights, cycle):
+    """A bound just above w'(C), the weight of the last girth cycle C
+    under the current ``weights`` (∞ before the first girth).
+
+    Integer weights sum exactly, so ``w'(C) + 1`` keeps every cycle of
+    weight ≤ w'(C).  A float sum of |C| terms is off by at most
+    (|C|−1)·2^-53 of the total in any order (plus 2^-53 per term where
+    an int is converted), and the sweep sums C in another order than
+    here; the relative slack (|C|+1)·2^-52 covers both sums, and
+    ``nextafter`` puts B strictly above the result.
+    """
+    if cycle is None:
+        return math.inf
+    total = sum(weights[e] for e in cycle)
+    if isinstance(total, int):
+        return total + 1
+    return math.nextafter(total * (1 + (len(cycle) + 1) * 2.0 ** -52),
+                          math.inf)
 
 
 def _girth_result(graph, value, cycle, ma_rounds, congest_rounds):

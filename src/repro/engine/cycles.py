@@ -33,6 +33,17 @@ comparison; candidates at or above the bound may be missed or differ,
 but the caller discards those either way.  The bound therefore never
 changes the final result — it only skips work on sources that cannot
 improve it.
+
+Warm starts (the girth after a weight write): a write leaves the
+topology alone, so the last girth cycle C is still a cycle and its
+weight under the new lengths bounds the new girth from above.
+:class:`PrimalCycleOracle` keeps one arc index per topology, rewrites
+the arcs of written edges in place (load order, hence every tie-break,
+unchanged) and remembers C; the girth sweep passes a seed ``(B, None)``
+with B just above w'(C).  Every candidate below B is exact, the sweep
+still keeps the first strict winner, and the girth is at most w'(C) <
+B, so value and witness equal a cold sweep's — the seed only prunes
+sources whose cycles cannot reach below B.
 """
 
 from __future__ import annotations
@@ -163,7 +174,8 @@ def min_dart_simple_cycle(oracle, candidates, best=None):
     best value back into the oracle as the pruning bound.  ``best`` (a
     previous ``(value, dart list)`` or None) seeds the scan, so batched
     callers — one call per dual bag — carry one running optimum through
-    every batch.  Returns the final best or None.
+    every batch; a seed ``(bound, None)`` is a bare upper bound (only
+    cycles strictly below it can win).  Returns the final best or None.
     """
     for f in candidates:
         cand = oracle.min_cycle_through(
@@ -183,6 +195,52 @@ def primal_cycle_arcs(graph):
         for d in graph.rotations[v]:
             arcs.append((d, v, graph.head(d), face_weights[d >> 1]))
     return arcs
+
+
+class PrimalCycleOracle(DartCycleOracle):
+    """The girth oracle of one primal topology, kept across weight writes.
+
+    Loads :func:`primal_cycle_arcs` and indexes each dart's out- and
+    in-arc slot.  :meth:`sync` brings the lengths
+    up to date with a weight list of the same topology; ``last_cycle``
+    holds the edge ids of the last girth winner (a cycle of this
+    topology under any weights), or None before the first girth.
+    """
+
+    __slots__ = ("weights", "last_cycle", "_out_slot", "_in_slot")
+
+    def __init__(self, graph):
+        super().__init__(graph.n)
+        self.load_arcs(primal_cycle_arcs(graph))
+        self.weights = list(graph.weights)
+        self.last_cycle = None
+        self._out_slot = out_slot = [None] * (2 * graph.m)
+        self._in_slot = in_slot = [None] * (2 * graph.m)
+        for u in self._touched:
+            for i, (d, _h, _w) in enumerate(self.adj[u]):
+                out_slot[d] = (u, i)
+            for i, (_t, d, _w) in enumerate(self.in_adj[u]):
+                in_slot[d] = (u, i)
+
+    def sync(self, weights):
+        """Rewrite, in place, the two arcs of every edge whose weight
+        differs from the loaded one by value or by Python type (``1`` →
+        ``1.0`` is a change, so lengths keep the graph's number type)."""
+        mine = self.weights
+        adj = self.adj
+        in_adj = self.in_adj
+        out_slot = self._out_slot
+        in_slot = self._in_slot
+        for eid, w in enumerate(weights):
+            old = mine[eid]
+            if w is old or (w == old and type(w) is type(old)):
+                continue
+            mine[eid] = w
+            for d in (2 * eid, 2 * eid + 1):
+                u, i = out_slot[d]
+                adj[u][i] = (d, adj[u][i][1], w)
+                h, j = in_slot[d]
+                in_adj[h][j] = (in_adj[h][j][0], d, w)
 
 
 def cycle_side_faces(graph, cycle_edge_ids):

@@ -140,6 +140,32 @@ def test_integer_capacities_array_path_equals_loop(name, directed,
             assert _outcome(g, s, t, directed) == loop
 
 
+@needs_numpy
+@pytest.mark.parametrize("name, directed", [("grid", True), ("tri", False)])
+def test_assignment_loop_beyond_int64_bound(name, directed, monkeypatch):
+    """With ``INT64_BOUND`` at 0 no distance fits the int64 gather, so
+    the assignment converts with ``_as_scalars`` and takes the per-edge
+    loop (the path of distances at or above 2^62); its flow dict equals
+    the gather's, values and types alike."""
+    g = _instances()[name]
+    real = maxflow._as_scalars
+    for s, t in _pairs(g, 3, seed=9):
+        with monkeypatch.context() as mp:
+            _no_fallback(mp)
+            gathered = PlanarMaxFlow(g, directed=directed,
+                                     backend="engine").solve(s, t).flow
+        ran = []
+        with monkeypatch.context() as mp:
+            mp.setattr(maxflow, "INT64_BOUND", 0)
+            mp.setattr(maxflow, "_as_scalars",
+                       lambda a: ran.append(len(a)) or real(a))
+            looped = PlanarMaxFlow(g, directed=directed,
+                                   backend="engine").solve(s, t).flow
+        assert ran
+        assert [(e, x, type(x)) for e, x in sorted(looped.items())] \
+            == [(e, x, type(x)) for e, x in sorted(gathered.items())]
+
+
 def _fractional_instance():
     """Capacities ``c + 0.25·(eid mod 3)``: the trivial-cut bound of
     the undirected pair (23, 11) is 24.5, and networkx gives 24.5 for

@@ -187,12 +187,16 @@ class TestMigratedEngineCaches:
         h2 = DualMAHost(g, backend="engine")
         assert h1.engine_cycle_oracle() is h2.engine_cycle_oracle()
         assert not hasattr(g, "_engine_cycle_cache")
-        # in-place weight mutation must produce a fresh oracle (the
-        # stale-cache hazard the fingerprint keying fixes)
+        # in-place weight mutation must not serve stale lengths: the one
+        # shared oracle is synced to the mutated weights on its next use
         before = weighted_girth(g, backend="engine").value
         g.weights[0] += 100
-        h3 = DualMAHost(g, backend="engine")
-        assert h3.engine_cycle_oracle() is not h1.engine_cycle_oracle()
+        oracle = DualMAHost(g, backend="engine").engine_cycle_oracle()
+        assert sorted((d, ln) for arcs in oracle.adj for (d, _h, ln) in arcs) \
+            == [(d, g.weights[d >> 1]) for d in range(2 * g.m)]
+        assert sorted((d, ln) for arcs in oracle.in_adj
+                      for (_t, d, ln) in arcs) \
+            == [(d, g.weights[d >> 1]) for d in range(2 * g.m)]
         after_engine = weighted_girth(g, backend="engine")
         after_legacy = weighted_girth(g, backend="legacy")
         assert after_engine.value == after_legacy.value
