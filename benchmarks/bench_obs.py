@@ -127,7 +127,7 @@ def measure_stitched_traces(g, queries, workers=1):
                 client.query(q)
                 wall_s += time.perf_counter() - t0
             pool.drain()
-        # worker span deltas ride the result queue; the last ones land
+        # worker span deltas ride the reply frames; the last ones land
         # just after the futures resolve
         deadline = time.monotonic() + 15
         while time.monotonic() < deadline:

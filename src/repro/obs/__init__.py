@@ -6,7 +6,7 @@ Three pillars, all stdlib-only and off by default:
 * **tracing** (:mod:`repro.obs.trace`): ``span("site", **tags)``
   context managers with monotonic timing and contextvar nesting; a
   per-query trace id minted at the root and propagated through wire
-  frames and pool command/result queues, so one served query's spans
+  frames and pool frames, so one served query's spans
   stitch across client → server thread → forked worker;
 * **metrics** (:mod:`repro.obs.metrics`): a process-local registry of
   counters, gauges and fixed-bucket histograms whose snapshots merge

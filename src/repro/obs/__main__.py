@@ -58,10 +58,11 @@ def _cmd_summarize(args):
         return 0
     width = max(len(name) for name in rows)
     print(f"{'site':<{width}}  {'count':>7}  {'total':>10}  "
-          f"{'mean':>10}  {'max':>10}")
+          f"{'self':>10}  {'mean':>10}  {'max':>10}")
     for name, row in rows.items():
         print(f"{name:<{width}}  {row['count']:>7}  "
               f"{row['total_s'] * 1e3:>8.3f}ms  "
+              f"{row['self_s'] * 1e3:>8.3f}ms  "
               f"{row['mean_s'] * 1e3:>8.3f}ms  "
               f"{row['max_s'] * 1e3:>8.3f}ms")
     return 0

@@ -92,16 +92,25 @@ def render_prometheus(snapshot, prefix="repro_"):
 # ----------------------------------------------------------------------
 def summarize_spans(spans):
     """Per-site rollup of an iterable of span dicts:
-    ``{name: {"count", "total_s", "mean_s", "max_s"}}``, insertion
-    sorted by total time descending."""
+    ``{name: {"count", "total_s", "self_s", "mean_s", "max_s"}}``,
+    insertion sorted by total time descending.  ``self_s`` is the
+    exclusive time: each span's seconds minus those of its direct
+    children in the same trace, whichever process recorded them, so
+    over one whole trace the self times add up to the root's total."""
+    spans = [s for s in spans if "name" in s and "seconds" in s]
+    nested = {}  # (trace, parent span id) -> children's seconds
+    for s in spans:
+        if s.get("trace") is not None and s.get("parent") is not None:
+            key = (s["trace"], s["parent"])
+            nested[key] = nested.get(key, 0.0) + s["seconds"]
     rows = {}
     for s in spans:
-        if "name" not in s or "seconds" not in s:
-            continue
         row = rows.setdefault(s["name"], {"count": 0, "total_s": 0.0,
-                                          "max_s": 0.0})
+                                          "self_s": 0.0, "max_s": 0.0})
         row["count"] += 1
         row["total_s"] += s["seconds"]
+        row["self_s"] += s["seconds"] - nested.get(
+            (s.get("trace"), s.get("span")), 0.0)
         row["max_s"] = max(row["max_s"], s["seconds"])
     for row in rows.values():
         row["mean_s"] = row["total_s"] / row["count"]

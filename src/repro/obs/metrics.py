@@ -9,7 +9,7 @@ histogram buckets) or replacement (gauges), and
 :func:`snapshot_delta` subtracts a baseline so a worker process can
 ship only what changed since its last report.  That delta/merge pair is
 the cross-process protocol of the serving stack: workers piggyback
-deltas on the existing result queue and the pool master folds them into
+deltas on their reply frames and the pool master folds them into
 its own registry (see ``repro.server.pool``), so one ``metrics`` wire
 verb sees the whole pool.
 

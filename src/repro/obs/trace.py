@@ -295,7 +295,7 @@ def ship_delta():
     """Drain the shipping buffer: ``{"spans": [...], "metrics": {...}}``
     with only what happened since the previous call, or ``None`` when
     disabled / nothing happened.  Piggybacked by pool workers on every
-    result-queue message."""
+    reply frame."""
     global _ship_base
     if not _enabled:
         return None

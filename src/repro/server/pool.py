@@ -26,12 +26,24 @@ anything.  A
 
 Consistency: each worker owns a private catalog copy, and commands
 (``register``, ``set_weights``, ``mutate_weights``) are broadcast to
-every worker's command queue, which is FIFO per worker — so a query
+every worker's socket, which is FIFO per worker — so a query
 submitted *after* :meth:`set_weights` / :meth:`mutate_weights` returns
 always sees the new weights, while queries already in flight may
 complete under either weighting.  Call :meth:`drain` first for a
 barrier; :meth:`audit_labeling` checks every worker's labels against a
 from-scratch rebuild.
+
+Transport: one duplex socket pair per worker; every message is its own
+length-prefixed pickle (:func:`_frame`).  A send never blocks its
+caller: the master writes what the socket takes and leaves the tail in
+that worker's FIFO outbox.  No thread is dedicated to reading: a thread
+waiting on a pool future takes the pool's single *reader role* when it
+is free, selects on every live worker socket and handles every frame
+it reads — replies, heartbeats, obs deltas, and the dispatch of the
+pending jobs a reply frees — until its own future is done, then hands
+the role on.  The watchdog tick takes the role when nobody holds it,
+drains without waiting and flushes the outboxes.  A reply thus costs
+two wake-ups: the worker's, then the waiting thread's.
 
 Failure containment: a query that raises inside a worker ships the
 exception back (typed, the original class when picklable) and fails
@@ -44,10 +56,13 @@ from __future__ import annotations
 
 import os
 import pickle
+import selectors
+import socket
+import struct
 import threading
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 
 from repro import obs
 from repro.errors import RemoteError, ServiceError
@@ -57,6 +72,34 @@ from repro.service.queries import execute_query
 _PREWARM_KINDS = ("flow", "cut", "distance", "girth")
 #: queries in flight per worker: one running, one queued behind it
 _WINDOW = 2
+#: a frame's length prefix
+_HEADER = struct.Struct("!Q")
+#: bytes one ``recv`` asks for
+_CHUNK = 1 << 16
+#: longest a reader sleeps in ``select`` before re-checking its future
+_READ_SLICE = 1.0
+
+
+def _frame(msg):
+    """``msg`` as one frame: its pickle behind an 8-byte length."""
+    data = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(len(data)) + data
+
+
+def _unframe(buf):
+    """Pop every whole frame off the front of the bytearray ``buf``
+    and return their messages; a partial frame stays in ``buf``."""
+    msgs = []
+    pos = 0
+    while len(buf) - pos >= _HEADER.size:
+        (size,) = _HEADER.unpack_from(buf, pos)
+        stop = pos + _HEADER.size + size
+        if stop > len(buf):
+            break
+        msgs.append(pickle.loads(buf[pos + _HEADER.size:stop]))
+        pos = stop
+    del buf[:pos]
+    return msgs
 
 
 def _execute(catalog, query, bodies=None):
@@ -64,118 +107,128 @@ def _execute(catalog, query, bodies=None):
     wire.BodyMemo`, for a :class:`~repro.server.app.QueryServer` job)
     a flow, cut or girth result is replaced by its encoded
     :class:`~repro.server.wire.Body`, so it is encoded once and
-    crosses the result queue as text."""
+    crosses the worker's socket as text."""
     r = execute_query(catalog, query)
     if bodies is not None:
         r.result = bodies.ship(r.result)
     return r
 
 
-def _worker_main(worker_id, catalog, snapshot, command_q, result_q,
-                 obs_on=False, hb_interval=0.0):
+def _reply(sock, job_id, fn, *args, **kwargs):
+    """Worker side: run ``fn`` and send its outcome as the reply to
+    ``job_id``, with the worker's obs delta riding along."""
+    try:
+        frame = _frame((job_id, True, fn(*args, **kwargs),
+                        obs.ship_delta()))
+    except Exception as exc:  # also a result that does not pickle
+        frame = _frame((job_id, False, _ship_exc(exc), obs.ship_delta()))
+    sock.sendall(frame)
+
+
+def _worker_main(catalog, snapshot, sock, inherited, obs_on,
+                 hb_interval):
     """Worker process entry point (top-level for spawn picklability).
 
     Exactly one of ``catalog`` (fork: the master catalog, inherited
     copy-on-write) and ``snapshot`` (spawn: pickled warm-state handoff)
-    is set.
+    is set.  ``sock`` is the worker's end of its socket pair;
+    ``inherited`` lists the master-side socket fds a fork copied, which
+    the worker closes, so that the master's close reaches it as EOF and
+    its own death reaches the master as EOF.  EOF is the stop command.
 
     ``obs_on`` mirrors the master's :func:`repro.obs.enabled` at fork
     time.  An observing worker runs in *shipping mode*: finished spans
     and metric deltas buffer locally and ride back piggybacked on
-    every result-queue message (the 5th tuple element), where the
-    collector thread :func:`~repro.obs.ingest`\\ s them — so one
-    query's spans stitch into the submitting trace and the master
-    registry aggregates every worker.
+    every reply (its 4th element), which the reading thread
+    :func:`~repro.obs.ingest`\\ s — so one query's spans stitch into
+    the submitting trace and the master registry aggregates every
+    worker.
 
-    With ``hb_interval > 0`` an *idle* worker emits a heartbeat tuple
-    (``job_id=None``) on the result queue every interval — the
-    watchdog's liveness signal.  Every real result doubles as a
-    heartbeat, so only a worker that is neither serving nor idling
-    (wedged, killed, or stopped) goes silent.
+    An *idle* worker sends a heartbeat reply (``job_id=None``) every
+    ``hb_interval`` seconds — the watchdog's liveness signal.  Every
+    real reply doubles as a heartbeat, so only a worker that is neither
+    serving nor idling (wedged, killed, or stopped) goes silent.
     """
-    import queue as _queue
-
+    for fd in inherited:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
     if obs_on:
         obs.enable()
     obs.configure_shipping(True)  # inherited sinks must stay silent
     if catalog is None:
         catalog = snapshot.restore()
     bodies = wire.BodyMemo(catalog.results.maxsize)
-    while True:
-        if hb_interval > 0:
-            try:
-                msg = command_q.get(timeout=hb_interval)
-            except _queue.Empty:
-                result_q.put((worker_id, None, True, "heartbeat",
-                              obs.ship_delta()))
+    ready = selectors.DefaultSelector()
+    ready.register(sock, selectors.EVENT_READ)
+    buf, inbox = bytearray(), deque()
+    try:
+        while True:
+            if not inbox:
+                if not ready.select(hb_interval):
+                    sock.sendall(_frame((None, True, "heartbeat",
+                                         obs.ship_delta())))
+                    continue
+                chunk = sock.recv(_CHUNK)
+                if not chunk:
+                    return  # the pool closed
+                buf += chunk
+                inbox.extend(_unframe(buf))
                 continue
-        else:
-            msg = command_q.get()
-        verb = msg[0]
-        if verb == "stop":
-            break
-        if verb == "query":
-            _, job_id, query, body, ctx, t_submit = msg
-            obs.observe("pool.queue_wait_seconds",
-                        max(0.0, time.monotonic() - t_submit))
-            token = obs.activate_trace(ctx)
-            try:
-                result_q.put((worker_id, job_id, True,
-                              _execute(catalog, query,
-                                       bodies if body else None),
-                              obs.ship_delta()))
-            except Exception as exc:
-                result_q.put((worker_id, job_id, False, _ship_exc(exc),
-                              obs.ship_delta()))
-            finally:
-                obs.deactivate_trace(token)
-        elif verb == "register":
-            _, name, graph, overwrite = msg
-            try:
-                catalog.register(name, graph, overwrite=overwrite)
-            except Exception:
-                # a failed broadcast must not kill the worker; the
-                # master catalog already validated the same call
-                pass
-        elif verb == "set_weights":
-            _, name, weights, capacities = msg
-            try:
-                catalog.set_weights(name, weights=weights,
-                                    capacities=capacities)
-            except Exception:
-                pass
-        elif verb == "mutate_weights":
-            _, name, edges = msg
-            try:
-                catalog.mutate_weights(name, edges)
-            except Exception:
-                # same contract as set_weights: the master already
-                # validated; a NegativeCycleError here still applied
-                # the weights and dropped the labelings first, so the
-                # worker converges to the master's state
-                pass
-        elif verb == "audit":
-            _, job_id, name, leaf_size, backend = msg
-            try:
-                result_q.put((worker_id, job_id, True,
-                              catalog.audit_labeling(
-                                  name, leaf_size=leaf_size,
-                                  backend=backend),
-                              obs.ship_delta()))
-            except Exception as exc:
-                result_q.put((worker_id, job_id, False, _ship_exc(exc),
-                              obs.ship_delta()))
-        elif verb == "stats":
-            _, job_id = msg
-            result_q.put((worker_id, job_id, True, catalog.stats(),
-                          obs.ship_delta()))
+            msg = inbox.popleft()
+            verb = msg[0]
+            if verb == "query":
+                _, job_id, query, body, ctx, t_submit = msg
+                obs.observe("pool.queue_wait_seconds",
+                            max(0.0, time.monotonic() - t_submit))
+                token = obs.activate_trace(ctx)
+                try:
+                    _reply(sock, job_id, _execute, catalog, query,
+                           bodies if body else None)
+                finally:
+                    obs.deactivate_trace(token)
+            elif verb == "register":
+                _, name, graph, overwrite = msg
+                try:
+                    catalog.register(name, graph, overwrite=overwrite)
+                except Exception:
+                    # a failed broadcast must not kill the worker; the
+                    # master catalog already validated the same call
+                    pass
+            elif verb == "set_weights":
+                _, name, weights, capacities = msg
+                try:
+                    catalog.set_weights(name, weights=weights,
+                                        capacities=capacities)
+                except Exception:
+                    pass
+            elif verb == "mutate_weights":
+                _, name, edges = msg
+                try:
+                    catalog.mutate_weights(name, edges)
+                except Exception:
+                    # same contract as set_weights: the master already
+                    # validated; a NegativeCycleError here still
+                    # applied the weights and dropped the labelings
+                    # first, so the worker converges to the master's
+                    # state
+                    pass
+            elif verb == "audit":
+                _, job_id, name, leaf_size, backend = msg
+                _reply(sock, job_id, catalog.audit_labeling, name,
+                       leaf_size=leaf_size, backend=backend)
+            elif verb == "stats":
+                _reply(sock, msg[1], catalog.stats)
+    except OSError:
+        return  # the master end is gone
 
 
 def _ship_exc(exc):
-    """The exception itself when it pickles, else ``(type_name, str)``
-    — queue feeder threads must never hit a pickle failure."""
+    """The exception itself when it survives a pickle round trip, else
+    ``(type_name, str)`` — a reply must always reach the master."""
     try:
-        pickle.dumps(exc)
+        pickle.loads(pickle.dumps(exc))
         return exc
     except Exception:
         return (type(exc).__name__, str(exc))
@@ -186,6 +239,23 @@ def _unship_exc(payload):
         return payload
     name, message = payload
     return RemoteError(message, remote_type=name)
+
+
+class _PoolFuture(Future):
+    """A pool job's future: waiting on it reads the workers' replies
+    while no other thread does (:meth:`WarmWorkerPool._wait`)."""
+
+    def __init__(self, pool):
+        super().__init__()
+        self._pool = pool
+
+    def result(self, timeout=None):
+        self._pool._wait(self, timeout)
+        return super().result(timeout=0)
+
+    def exception(self, timeout=None):
+        self._pool._wait(self, timeout)
+        return super().exception(timeout=0)
 
 
 class WarmWorkerPool:
@@ -231,12 +301,18 @@ class WarmWorkerPool:
         self.stall_after = stall_after
 
         self._lock = threading.Lock()
+        # hands the reader role on; wakes threads parked on a future
+        self._cond = threading.Condition(self._lock)
+        self._reader = None                # ident of the reader thread
+        self._waiting = 0                  # threads parked on _cond
         self._started = False
         self._closed = False
         self._procs = {}
-        self._command_qs = {}
-        self._result_q = None
-        self._collector = None
+        self._selector = None              # every live worker socket
+        self._socks = {}                   # worker_id -> master end
+        self._outbox = {}                  # worker_id -> unsent frames
+        self._inbuf = {}                   # worker_id -> partial frame
+        self._writing = set()              # selected for EVENT_WRITE
         self._job_counter = 0
         # (job_id, query, body, trace_ctx, t_submit)
         self._pending = deque()
@@ -330,28 +406,30 @@ class WarmWorkerPool:
                 else "spawn"
         self._method = method
         ctx = mp.get_context(method)
-        self._result_q = ctx.Queue()
-        snapshot = None if method == "fork" else self.catalog.snapshot()
+        fork = method == "fork"
+        snapshot = None if fork else self.catalog.snapshot()
         for wid in range(self.workers):
-            # a full Queue (not SimpleQueue): workers block on
-            # ``get(timeout=heartbeat_interval)`` to emit heartbeats
-            cq = ctx.Queue()
+            master, child = socket.socketpair()
+            inherited = [s.fileno() for s in self._socks.values()] \
+                + [master.fileno()] if fork else []
             proc = ctx.Process(
                 target=_worker_main,
-                args=(wid, self.catalog if method == "fork" else None,
-                      snapshot, cq, self._result_q, obs.enabled(),
-                      self.heartbeat_interval),
+                args=(self.catalog if fork else None, snapshot, child,
+                      inherited, obs.enabled(), self.heartbeat_interval),
                 daemon=True, name=f"repro-server-worker-{wid}")
             proc.start()
+            child.close()  # the worker holds the only other copy
+            master.setblocking(False)
             self._procs[wid] = proc
-            self._command_qs[wid] = cq
+            self._socks[wid] = master
+            self._outbox[wid] = deque()
+            self._inbuf[wid] = bytearray()
             self._inflight[wid] = 0
             self._completed[wid] = 0
             self._last_seen[wid] = time.monotonic()
-        self._collector = threading.Thread(target=self._collect,
-                                           daemon=True,
-                                           name="repro-server-collector")
-        self._collector.start()
+        self._selector = selectors.DefaultSelector()
+        for wid, sock in self._socks.items():
+            self._selector.register(sock, selectors.EVENT_READ, wid)
         self._start_watchdog()
         return self
 
@@ -367,31 +445,33 @@ class WarmWorkerPool:
             if self._closed:
                 return
             self._closed = True
+            doomed = list(self._futures.values())
+            self._futures.clear()
+            self._assigned.clear()
+            self._job_kind.clear()
+            self._pending.clear()
         self._watchdog_stop.set()
         if self._watchdog is not None:
             self._watchdog.join(timeout=5)
-        for wid, cq in self._command_qs.items():
-            if wid not in self._dead:
-                try:
-                    cq.put(("stop",))
-                except Exception:
-                    pass
+        for sock in self._socks.values():
+            try:
+                # EOF stops the worker and wakes a reader in select
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self._settle([(fut, False, ServiceError("worker pool closed"))
+                      for fut in doomed])
         for proc in self._procs.values():
             proc.join(timeout=5)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5)  # reap, so no zombie outlives us
-        if self._result_q is not None:
-            self._result_q.put(None)
-        if self._collector is not None:
-            self._collector.join(timeout=5)
-        with self._lock:
-            doomed = list(self._futures.values())
-            self._futures.clear()
-            self._pending.clear()
-        for fut in doomed:
-            if not fut.done():
-                fut.set_exception(ServiceError("worker pool closed"))
+        with self._cond:
+            self._cond.wait_for(lambda: self._reader is None, timeout=5)
+            for sock in self._socks.values():
+                sock.close()
+            if self._selector is not None:
+                self._selector.close()
 
     def __enter__(self):
         if not self._started:
@@ -419,7 +499,7 @@ class WarmWorkerPool:
         """
         if not self._started:
             raise ServiceError("pool not started (call start())")
-        fut = Future()
+        fut = _PoolFuture(self)
         if self.workers == 0:
             with self._lock:
                 if self._closed:
@@ -434,7 +514,7 @@ class WarmWorkerPool:
                     fut.set_result(r)
             return fut
         # captured outside the lock: the ambient trace context of the
-        # submitting thread rides the command queue so the worker's
+        # submitting thread rides the query frame so the worker's
         # spans stitch under the caller's span; t_submit (monotonic,
         # cross-process comparable on this host) prices the queue wait
         ctx = obs.current_trace()
@@ -505,7 +585,7 @@ class WarmWorkerPool:
         """Delta-reprice a few edges pool-wide (DESIGN.md §11):
         :meth:`~repro.service.catalog.GraphCatalog.mutate_weights` on
         the master catalog, then the same mutation broadcast to every
-        worker's FIFO command queue — a query submitted after this
+        worker's FIFO socket — a query submitted after this
         returns can only see the new weights; call :meth:`drain` first
         when in-flight queries must not straddle the reprice.
 
@@ -519,13 +599,15 @@ class WarmWorkerPool:
         # values even when handed a one-shot iterable
         edges = dict(edges) if hasattr(edges, "items") \
             else [tuple(item) for item in edges]
+        failure = None
         with self._lock:  # serialize against in-process query serving
             try:
                 report = self.catalog.mutate_weights(name, edges)
-            except NegativeCycleError:
-                self._broadcast(("mutate_weights", name, edges))
-                raise
+            except NegativeCycleError as exc:
+                failure = exc
         self._broadcast(("mutate_weights", name, edges))
+        if failure is not None:
+            raise failure
         return report
 
     def audit_labeling(self, name, leaf_size=None, backend="engine",
@@ -553,7 +635,7 @@ class WarmWorkerPool:
         rollup, master-catalog cache counters and (optionally) each
         worker's own catalog counters.
 
-        The per-worker catalog probe rides the FIFO command queue, so
+        The per-worker catalog probe rides each worker's FIFO socket, so
         a worker busy with a long cold query past ``timeout`` reports
         ``{"busy": True}`` instead of blocking the caller — stats stay
         available exactly when the pool is loaded."""
@@ -600,7 +682,7 @@ class WarmWorkerPool:
     def metrics(self):
         """The aggregated :mod:`repro.obs` registry snapshot: the
         master process's metrics plus every delta the workers have
-        shipped so far (piggybacked on their result-queue messages).
+        shipped so far (piggybacked on their replies).
         Empty dict when observability never ran."""
         return obs.registry().snapshot()
 
@@ -674,27 +756,33 @@ class WarmWorkerPool:
     def _broadcast(self, msg):
         if not self._forked():
             return
-        for wid, cq in self._command_qs.items():
-            if wid not in self._dead:
-                cq.put(msg)
+        frame = _frame(msg)  # pickled once for every worker
+        with self._lock:
+            if self._closed:
+                return
+            for wid in self._socks:
+                if wid not in self._dead:
+                    self._send(wid, frame)
 
     def _ask_workers(self, verb, *args):
-        """Put ``(verb, job_id, *args)`` on every live worker's command
-        queue as an accounting-free job (not a query: it moves no
-        occupancy counter); returns ``{worker_id: Future}``."""
+        """Send ``(verb, job_id, *args)`` to every live worker as an
+        accounting-free job (not a query: it moves no occupancy
+        counter); returns ``{worker_id: Future}``."""
         futures = {}
         if not self._forked():
             return futures
         with self._lock:
+            if self._closed:
+                return futures
             for wid in self._procs:
                 if wid in self._dead:
                     continue
                 self._job_counter += 1
                 job_id = self._job_counter
-                futures[wid] = self._futures[job_id] = Future()
+                futures[wid] = self._futures[job_id] = _PoolFuture(self)
                 self._assigned[job_id] = wid
                 self._job_kind[job_id] = verb
-                self._command_qs[wid].put((verb, job_id) + args)
+                self._send(wid, _frame((verb, job_id) + args))
         return futures
 
     def _worker_rows(self, now):
@@ -735,8 +823,37 @@ class WarmWorkerPool:
             self._assigned[job_id] = wid
             self._inflight[wid] = count + 1
             obs.inc("pool.dispatched")
-            self._command_qs[wid].put(
-                ("query", job_id, query, body, ctx, t_submit))
+            self._send(wid, _frame(
+                ("query", job_id, query, body, ctx, t_submit)))
+
+    def _send(self, wid, frame):
+        """Queue ``frame`` behind worker ``wid``'s unsent frames and
+        write what its socket takes now — never blocking.  Caller holds
+        the lock."""
+        self._outbox[wid].append(frame)
+        self._flush(wid)
+
+    def _flush(self, wid):
+        """Write worker ``wid``'s outbox, oldest frame first, until the
+        socket would block, and select the socket for writing while a
+        tail is left.  Caller holds the lock."""
+        box, sock = self._outbox[wid], self._socks[wid]
+        try:
+            while box:
+                sent = sock.send(box[0])
+                if sent < len(box[0]):
+                    box[0] = memoryview(box[0])[sent:]
+                    break
+                box.popleft()
+        except BlockingIOError:
+            pass
+        except OSError:
+            box.clear()  # the worker is gone; its EOF fails its jobs
+        if bool(box) != (wid in self._writing):
+            self._writing ^= {wid}
+            self._selector.modify(
+                sock, selectors.EVENT_READ
+                | (selectors.EVENT_WRITE if box else 0), wid)
 
     def _account(self, kind, result):
         row = self._by_kind.setdefault(
@@ -752,60 +869,187 @@ class WarmWorkerPool:
         obs.observe(f"pool.serve_seconds.{kind}",
                     getattr(result, "seconds", 0.0))
 
-    def _collect(self):
-        import queue as _queue
+    # ------------------------------------------------------------------
+    # the reader role
+    # ------------------------------------------------------------------
+    def _wait(self, fut, timeout):
+        """Block until ``fut`` is done or ``timeout`` passes.  While no
+        other thread holds the reader role, take it and read the
+        workers' replies — everyone's, not only ``fut``'s; otherwise
+        park on the condition until ``fut`` is done or the role is
+        free."""
+        if fut.done():
+            return
+        deadline = None if timeout is None \
+            else time.monotonic() + timeout
+        me = threading.get_ident()
+        with self._cond:
+            # a done-callback run by the reader may wait on another job
+            nested = self._reader == me
+            if not nested:
+                self._waiting += 1
+                try:
+                    while self._reader is not None and not fut.done():
+                        left = None if deadline is None \
+                            else deadline - time.monotonic()
+                        if left is not None and left <= 0:
+                            return
+                        self._cond.wait(left)
+                finally:
+                    self._waiting -= 1
+                if fut.done():
+                    return
+                self._reader = me
+        try:
+            while not fut.done():
+                left = _READ_SLICE if deadline is None \
+                    else min(_READ_SLICE, deadline - time.monotonic())
+                if left <= 0:
+                    return
+                self._pump(left)
+        finally:
+            if not nested:
+                self._release()
 
-        last_reap = time.monotonic()
+    def _drain(self):
+        """The watchdog's turn as reader: when the role is free, handle
+        what the workers sent and flush the outboxes, never waiting."""
+        with self._lock:
+            if self._reader is not None or self._closed:
+                return
+            self._reader = threading.get_ident()
+        try:
+            while self._pump(0):
+                pass
+        finally:
+            self._release()
+
+    def _release(self):
+        with self._cond:
+            self._reader = None
+            if self._waiting:
+                self._cond.notify_all()
+
+    def _pump(self, timeout):
+        """One reader step: wait up to ``timeout`` seconds on the live
+        worker sockets, flush the outboxes that can take more, and
+        handle every frame that arrived.  Returns how many sockets were
+        ready.  Only the reader-role holder calls this."""
+        events = self._selector.select(timeout)
+        settled = []
+        for key, mask in events:
+            wid = key.data
+            if mask & selectors.EVENT_WRITE:
+                with self._lock:
+                    self._flush(wid)  # a dead worker's: deselects it
+            if mask & selectors.EVENT_READ:
+                settled += self._read(wid, key.fileobj)
+        self._settle(settled)
+        return len(events)
+
+    def _read(self, wid, sock):
+        """Take what worker ``wid`` sent; returns the ``(future, ok,
+        payload)`` outcomes to settle."""
+        buf = self._inbuf[wid]
+        eof = False
         while True:
             try:
-                item = self._result_q.get(timeout=1.0)
-            except _queue.Empty:
-                self._reap_dead()
-                last_reap = time.monotonic()
-                continue
-            except Exception:
-                # a worker killed mid-``put`` can leave a truncated
-                # pickle on the results pipe; the fragment is
-                # unreadable but the *collector must survive it* —
-                # the dead worker's futures are failed by the reaper,
-                # and with the collector gone nothing would ever reap
-                self._reap_dead()
-                last_reap = time.monotonic()
-                continue
-            if item is None:
-                return
-            # reap on a clock, not only when the queue goes idle —
-            # under sustained traffic a crashed worker's in-flight
-            # futures must still fail promptly
-            if time.monotonic() - last_reap > 0.5:
-                self._reap_dead()
-                last_reap = time.monotonic()
-            wid, job_id, ok, payload, obs_payload = item
-            if obs_payload:
-                obs.ingest(obs_payload)
-            # every message — heartbeat or result — proves liveness
-            self._last_seen[wid] = time.monotonic()
-            if job_id is None:
-                continue  # pure heartbeat, nothing to resolve
-            with self._lock:
+                chunk = sock.recv(_CHUNK)
+            except BlockingIOError:
+                break
+            except OSError:
+                chunk = b""
+            if not chunk:
+                eof = True
+                break
+            buf += chunk
+            if len(chunk) < _CHUNK:
+                break
+        try:
+            msgs = _unframe(buf)
+        except Exception:
+            # a frame that does not unpickle: this worker's stream is
+            # lost, so it is treated as dead (the unreadable reply's
+            # future fails with the rest of its jobs)
+            self._procs[wid].kill()
+            msgs, eof = [], True
+        for msg in msgs:
+            obs.ingest(msg[3])
+        now = time.monotonic()
+        settled = []
+        with self._lock:
+            self._last_seen[wid] = now  # every frame proves liveness
+            for job_id, ok, payload, _ in msgs:
+                if job_id is None:
+                    continue  # pure heartbeat, nothing to resolve
                 fut = self._futures.pop(job_id, None)
                 kind = self._job_kind.pop(job_id, "query")
                 self._assigned.pop(job_id, None)
                 if kind == "query":
-                    if wid in self._inflight:
-                        self._inflight[wid] = max(
-                            0, self._inflight[wid] - 1)
-                        self._completed[wid] += 1
+                    self._inflight[wid] = max(0, self._inflight[wid] - 1)
+                    self._completed[wid] += 1
                     if ok:
                         self._account(type(payload.query).__name__,
                                       payload)
-                    self._fill()
-            if fut is None:
-                continue
-            if ok:
-                fut.set_result(payload)
-            else:
-                fut.set_exception(_unship_exc(payload))
+                if fut is not None:
+                    settled.append((fut, ok, payload))
+            if eof:
+                # the worker exited, or close() shut the socket down
+                self._selector.unregister(sock)
+                self._writing.discard(wid)
+                buf.clear()
+                if not self._closed:
+                    settled += self._mark_dead(wid)
+            self._fill()
+        return settled
+
+    def _settle(self, settled):
+        """Resolve ``(future, ok, payload)`` outcomes — outside the lock,
+        for their done-callbacks — and wake the threads parked on
+        futures."""
+        for fut, ok, payload in settled:
+            try:
+                if ok:
+                    fut.set_result(payload)
+                else:
+                    fut.set_exception(_unship_exc(payload))
+            except InvalidStateError:
+                pass  # cancelled by its owner
+        if settled and self._waiting:
+            with self._cond:
+                self._cond.notify_all()
+
+    def _mark_dead(self, wid):
+        """Retire worker ``wid``; returns the outcomes that fail its
+        jobs (and every pending job once no worker is left).  Caller
+        holds the lock."""
+        if wid in self._dead:
+            return []
+        self._dead.add(wid)
+        self._inflight[wid] = 0
+        self._outbox[wid].clear()
+        obs.inc("pool.worker_deaths")
+        obs.set_gauge("pool.workers_alive",
+                      len(self._procs) - len(self._dead))
+        doomed = []
+        for job_id, owner in list(self._assigned.items()):
+            if owner == wid:
+                fut = self._futures.pop(job_id, None)
+                self._assigned.pop(job_id, None)
+                self._job_kind.pop(job_id, None)
+                if fut is not None:
+                    doomed.append((fut, False, ServiceError(
+                        f"worker {wid} died mid-query")))
+        if len(self._dead) == len(self._procs):
+            while self._pending:
+                job_id = self._pending.popleft()[0]
+                fut = self._futures.pop(job_id, None)
+                self._job_kind.pop(job_id, None)
+                if fut is not None:
+                    doomed.append((fut, False, ServiceError(
+                        "all pool workers died")))
+        self._fill()
+        return doomed
 
     def _reap_dead(self):
         """Fail the in-flight futures of workers that died; the pool
@@ -813,41 +1057,18 @@ class WarmWorkerPool:
         doomed = []
         with self._lock:
             for wid, proc in self._procs.items():
-                if wid in self._dead or proc.is_alive():
-                    continue
-                self._dead.add(wid)
-                self._inflight[wid] = 0
-                obs.inc("pool.worker_deaths")
-                obs.set_gauge("pool.workers_alive",
-                              len(self._procs) - len(self._dead))
-                for job_id, owner in list(self._assigned.items()):
-                    if owner == wid:
-                        fut = self._futures.pop(job_id, None)
-                        self._assigned.pop(job_id, None)
-                        self._job_kind.pop(job_id, None)
-                        if fut is not None:
-                            doomed.append((wid, fut))
-            if self._dead and len(self._dead) == len(self._procs):
-                while self._pending:
-                    job_id = self._pending.popleft()[0]
-                    fut = self._futures.pop(job_id, None)
-                    self._job_kind.pop(job_id, None)
-                    if fut is not None:
-                        doomed.append((None, fut))
-            self._fill()
-        for wid, fut in doomed:
-            if not fut.done():
-                fut.set_exception(ServiceError(
-                    f"worker {wid} died mid-query" if wid is not None
-                    else "all pool workers died"))
+                if wid not in self._dead and not proc.is_alive():
+                    doomed += self._mark_dead(wid)
+        self._settle(doomed)
 
     # ------------------------------------------------------------------
     # watchdog
     # ------------------------------------------------------------------
     def _watchdog_loop(self):
         """Drive the liveness machinery on a clock: reap dead workers,
-        refresh the liveness, queue-depth and in-flight gauges, and
-        fire the background audit on idle ticks."""
+        read and flush the worker sockets while no thread waits on a
+        future, refresh the liveness, queue-depth and in-flight gauges,
+        and fire the background audit on idle ticks."""
         interval = min(self.heartbeat_interval, 0.5)
         while not self._watchdog_stop.wait(interval):
             try:
@@ -861,6 +1082,7 @@ class WarmWorkerPool:
         if now is None:
             now = time.monotonic()
         if self.workers:
+            self._drain()
             self._reap_dead()
         with self._lock:
             pending = len(self._pending)

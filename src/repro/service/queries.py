@@ -164,7 +164,7 @@ def execute_query(catalog, query):
     With :mod:`repro.obs` enabled, each call runs inside a
     ``query.execute`` span — the per-query root when no trace context
     is active (this is where a trace id is minted), a child span when
-    one arrived over the wire or a pool command queue — and feeds the
+    one arrived over the wire or in a pool query frame — and feeds the
     ``service.result.hit``/``miss`` counters, a per-kind latency
     histogram, and the rolling ``health.query_seconds.<kind>`` /
     ``health.error_seconds.<kind>`` windows that

@@ -15,6 +15,7 @@ from repro import obs
 from repro.errors import ProtocolError, ServiceError
 from repro.planar.generators import grid, randomize_weights
 from repro.server import QueryServer, ServiceClient, WarmWorkerPool
+from repro.server import pool as pool_module
 from repro.service import (
     CutQuery,
     DistanceQuery,
@@ -289,8 +290,9 @@ def served_obs():
 
 
 def _wait_for_trace(ring, trace_id, name, tries=100):
-    """Worker span deltas ride the result queue and are ingested by the
-    collector thread just after the future resolves — poll briefly."""
+    """Worker span deltas ride the reply frame and are ingested by
+    whichever thread reads it (a waiting handler thread or the
+    watchdog's drain) — poll briefly."""
     for _ in range(tries):
         if any(s["name"] == name for s in ring.spans(trace=trace_id)):
             return ring.spans(trace=trace_id)
@@ -320,6 +322,27 @@ class TestEndToEndStitching:
         by_id = {s["span"]: s for s in spans}
         execute = next(s for s in spans if s["name"] == "query.execute")
         assert by_id[execute["parent"]]["name"] == "server.query"
+
+    def test_self_times_of_a_stitched_trace_sum_to_the_root(
+            self, served_obs):
+        ring = served_obs["ring"]
+        served_obs["client"].query(FlowQuery("g", 0, 7))
+        trace = next(s["trace"] for s in reversed(ring.spans())
+                     if s["name"] == "client.query")
+        for name in ("query.execute", "server.query"):
+            spans = _wait_for_trace(ring, trace, name)
+        rows = obs.summarize_spans(spans)
+        assert {"client.query", "server.query",
+                "query.execute"} <= set(rows)
+        [root] = [s for s in spans if s["parent"] is None]
+        assert sum(row["self_s"] for row in rows.values()) \
+            == pytest.approx(root["seconds"], rel=1e-9, abs=1e-12)
+        # exclusive time crosses the fork: the server span's self time
+        # excludes the worker's query.execute child
+        server = rows["server.query"]
+        assert server["self_s"] == pytest.approx(
+            server["total_s"] - rows["query.execute"]["total_s"],
+            rel=1e-9, abs=1e-12)
 
     def test_error_frame_path_still_traces(self, served_obs):
         ring = served_obs["ring"]
@@ -461,6 +484,20 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "outer" in out.splitlines()[1]
 
+    def test_summarize_prints_self_time(self, tmp_path, capsys):
+        from repro.obs.__main__ import main
+
+        path = self._log(tmp_path)
+        assert main(["summarize", path]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header.split() == ["site", "count", "total", "self",
+                                  "mean", "max"]
+        # outer's self time is its total minus inner's
+        cells = {line.split()[0]: line.split() for line in lines}
+        outer, inner = cells["outer"], cells["inner"]
+        assert float(outer[3][:-2]) == pytest.approx(
+            float(outer[2][:-2]) - float(inner[2][:-2]), abs=2e-3)
+
     def test_scrape_prometheus(self, capsys):
         obs.enable()
         pool = WarmWorkerPool(workers=0)
@@ -592,17 +629,14 @@ class TestDisabledGate:
         pool.register("g", g)
         pool.start()
         commands = []
+        frame = pool_module._frame
 
-        class RecordingQueue:
-            def __init__(self, inner):
-                self._inner = inner
+        def recording_frame(msg):
+            commands.append(msg)
+            return frame(msg)
 
-            def put(self, msg):
-                commands.append(msg)
-                self._inner.put(msg)
-
-        pool._command_qs = {wid: RecordingQueue(cq)
-                            for wid, cq in pool._command_qs.items()}
+        # after start(): the forked worker keeps the real encoder
+        monkeypatch.setattr(pool_module, "_frame", recording_frame)
         server = QueryServer(pool).start_background()
         try:
             with ServiceClient(*server.address, timeout=60) as client:
