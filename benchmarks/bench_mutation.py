@@ -143,6 +143,8 @@ def main(argv=None):
     rng = random.Random(args.seed)
     rebuild_s, reprice_s = [], []
     dirty = total = 0
+    #: Bellman–Ford rows of the dirty slices over all reprice rounds
+    rows = {"recomputed_rows": 0, "reused_rows": 0}
     for i in range(args.rounds):
         if i in rebuild_at:
             catalog.set_weights(name, weights=[w + 1 for w in g.weights])
@@ -161,6 +163,8 @@ def main(argv=None):
         (row,) = report["labelings"]
         assert row["action"] == "repaired", f"reprice not repaired: {row}"
         dirty, total = row["dirty_bags"], row["total_bags"]
+        for key in rows:
+            rows[key] += row[key]
     if not reprice_s or not rebuild_s:
         print("no reprice round or no rebuild was timed; nothing to "
               "report")
@@ -178,6 +182,10 @@ def main(argv=None):
           f"{p50 * 1e3:8.1f} ms median of {len(reprice_s)} (range "
           f"{reprice_s[0] * 1e3:.1f}-{reprice_s[-1] * 1e3:.1f} ms, "
           f"p99={p99 * 1e3:.1f} ms; {dirty}/{total} bags dirty)")
+    print(f"label rows recomputed    : {rows['recomputed_rows']} of "
+          f"{rows['recomputed_rows'] + rows['reused_rows']} over the "
+          f"reprice rounds ({rows['reused_rows']} reused by the row "
+          f"test)")
 
     # -- 3. the repaired labeling must still answer correctly: audit
     #       against a from-scratch rebuild, bit for bit
@@ -215,6 +223,7 @@ def main(argv=None):
         "speedup_range": list(spread),
         "dirty_bags": dirty,
         "total_bags": total,
+        **rows,
         "speedup": speedup,
         "min_speedup": args.min_speedup,
         "audit": audit_row,

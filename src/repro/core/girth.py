@@ -96,8 +96,17 @@ def weighted_girth(graph, ledger=None, num_trees=None, backend="legacy"):
             cycle.append(orig_eid)
     cycle.sort()
 
+    # the cut's bundle weights sum the cycle's weights in another order
+    # (a float sum may differ in the last bits, within the slack of
+    # _warm_bound); the value reported is the edge-id-order sum.  The
+    # min-cut's own res.value is a subtree sum over every edge, whose
+    # rounding is not bounded by the cut's.
     value = sum(graph.weights[e] for e in cycle)
-    assert value == res.value, "bundled cut weight mismatch"
+    cut = sum(weights[i] for i in res.cut_edge_ids)
+    if abs(value - cut) > _sum_slack(len(cycle)) * abs(value):
+        raise SimulationError(
+            f"bundled cut weight {cut!r} differs from its cycle's "
+            f"weight {value!r} beyond float rounding")
     return _girth_result(graph, value, cycle, ma_rounds=res.ma_rounds,
                          congest_rounds=congest)
 
@@ -143,8 +152,14 @@ def _warm_bound(weights, cycle):
     total = sum(weights[e] for e in cycle)
     if isinstance(total, int):
         return total + 1
-    return math.nextafter(total * (1 + (len(cycle) + 1) * 2.0 ** -52),
-                          math.inf)
+    return math.nextafter(total * (1 + _sum_slack(len(cycle))), math.inf)
+
+
+def _sum_slack(terms):
+    """Relative bound (|C|+1)·2^-52 on how far two float sums of the
+    same ``terms`` weights, added in different orders, can differ (see
+    :func:`_warm_bound`)."""
+    return (terms + 1) * 2.0 ** -52
 
 
 def _girth_result(graph, value, cycle, ma_rounds, congest_rounds):

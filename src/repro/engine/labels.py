@@ -83,7 +83,9 @@ full rebuild would produce.  A build and a repair run one level loop
 Inside a dirty internal bag a repair reuses the recorded anchored-SSSP
 matrices of clean children (the dominant per-bag cost) and keeps a
 clean child's stored rows outright when that child's DDG boundary rows
-(``m_out`` / ``m_in``) come back unchanged.  Clean bags cannot raise
+(``m_out`` / ``m_in``) come back unchanged.  In a dirty slice it reruns
+only the Bellman–Ford rows the write can change (the row test of
+:func:`_rows_to_redo`).  Clean bags cannot raise
 (their inputs are unchanged and the previous build succeeded), and
 dirty bags run in the legacy order, so the first
 :class:`NegativeCycleError` — message and ``where`` — matches the
@@ -239,12 +241,7 @@ class CompiledBagSlice:
         """
         ws = self.workspace
         if _np is not None:
-            if self._gather is None:
-                partner = _np.arange(self.num_darts) ^ 1
-                self._gather = (
-                    ws.in_slot_index(self.dart_global),
-                    ws.in_slot_index(_np.asarray(self.dart_global)[partner]))
-            ws.load_in_slot_lengths(lengths[self._gather[reverse]])
+            ws.load_in_slot_lengths(self.in_slot_lengths(lengths, reverse))
             return
         dg = self.dart_global
         flat = self._flat
@@ -256,6 +253,18 @@ class CompiledBagSlice:
             for ld, gd in enumerate(dg):
                 flat[ld] = INF if gd < 0 else lengths[gd]
         ws.load_lengths(flat)
+
+    def in_slot_lengths(self, lengths, reverse=False):
+        """The float64 lengths the kernel relaxes, in its in-slot order,
+        read from the :func:`dart_length_table` ``lengths`` (numpy
+        only): one gather through the slice's global dart ids."""
+        if self._gather is None:
+            ws = self.workspace
+            partner = _np.arange(self.num_darts) ^ 1
+            self._gather = (
+                ws.in_slot_index(self.dart_global),
+                ws.in_slot_index(_np.asarray(self.dart_global)[partner]))
+        return lengths[self._gather[reverse]]
 
     def batched_sssp(self, lengths, sources, reverse=False):
         """Distance rows (matrix or list of rows, see
@@ -563,24 +572,34 @@ def repair_dual_labels_engine(labeling, changed):
     """
     compiled = compile_labeling_bags(labeling.bdd, labeling.duals)
     dirty = dirty_bags(compiled, changed)
+    old = {d: labeling.lengths[d] for d in changed}
     labeling.lengths.update(changed)
     with obs.span("labeling.repair", changed=len(changed),
                   dirty=len(dirty)):
         return {"changed_darts": len(changed),
-                **_relabel(labeling, compiled, dirty)}
+                **_relabel(labeling, compiled, dirty, old)}
 
 
-def _relabel(labeling, compiled, dirty):
+def _relabel(labeling, compiled, dirty, old=None):
     """The one level loop of a build and a repair: recompute the
     ``dirty`` bags in the legacy level order (deepest level first), so
-    the first :class:`NegativeCycleError` is the legacy one.  Returns
-    the recompute counters."""
+    the first :class:`NegativeCycleError` is the legacy one.  ``old``
+    maps each changed dart to its length before a repair (``None`` for
+    a build).  Returns the recompute counters."""
     lengths = dart_length_table(labeling.lengths, labeling.graph.num_darts)
+    #: the dart-length table of the last labeling, for the row test of
+    #: :func:`_rows_to_redo` (numpy only; a build has none)
+    before = None
+    if old is not None and _np is not None:
+        before = lengths.copy()
+        before[list(old)] = _np.fromiter(old.values(), dtype=_np.float64,
+                                         count=len(old))
     stats = {"dirty_bags": len(dirty),
              "total_bags": sum(len(lv) for lv in compiled.levels),
              "repaired_leaves": 0, "repaired_internal": 0,
              "sssp_children": 0, "apsp_children": 0,
-             "reused_children": 0}
+             "reused_children": 0, "recomputed_rows": 0,
+             "reused_rows": 0}
     store = labeling._store
     #: this pass's leaf APSP matrices, which their parents read their
     #: anchored rows out of
@@ -590,32 +609,119 @@ def _relabel(labeling, compiled, dirty):
             if bag_id not in dirty:
                 continue
             if is_leaf:
-                _label_leaf(compiled, bag_id, lengths, store, apsp)
+                _label_leaf(compiled, bag_id, lengths, before, store,
+                            labeling._repair, apsp, stats)
                 stats["repaired_leaves"] += 1
             else:
-                _label_internal(compiled, bag_id, lengths, store,
+                _label_internal(compiled, bag_id, lengths, before, store,
                                 labeling._repair, apsp, dirty, stats)
                 stats["repaired_internal"] += 1
     return stats
 
 
-def _label_leaf(compiled, bag_id, lengths, store, apsp):
+def _row_test_proven(was, now, num_faces):
+    """Whether the row test of :func:`_rows_to_redo` is sound on a
+    slice whose in-slot lengths go from ``was`` to ``now``: every
+    length is nonnegative, or every length is integral or ``+inf`` and
+    small enough that each left fold of at most ``num_faces + 1`` of
+    them (the longest walk the kernel sums before it reports a
+    negative cycle) is exact in float64."""
+    both = _np.concatenate((was, now))
+    if (both >= 0).all():
+        return True
+    finite = _np.isfinite(both)
+    if not (finite | (both == INF)).all():
+        return False
+    f = both[finite]
+    return bool((f == _np.rint(f)).all()
+                and (num_faces + 1) * _np.abs(f).max(initial=0.0)
+                <= 2.0 ** 53)
+
+
+def _rows_to_redo(sl, before, lengths, reverse, old):
+    """The rows of ``old`` (float64 distance rows over slice ``sl``
+    under the table ``before``, forward or ``reverse``) that the new
+    table ``lengths`` can change, as an index array; ``None`` when
+    every row must be recomputed (a build, no recorded rows, no numpy,
+    or a slice where the test is not proven).
+
+    Row ``d`` is kept iff no changed arc ``u -> v`` (old length ``l``,
+    new ``l'``) is *tight*, ``d[u] + l == d[v]`` with ``d[v]`` finite,
+    or *improving*, ``d[u] + l' < d[v]`` — the kernel's own left folds.
+    Then ``d`` still satisfies every Bellman inequality under the new
+    lengths, so a cold run never goes below it, and every face's
+    distance is reached by a path of tight, hence unchanged, arcs, so
+    the cold run reaches it: the cold row is ``d`` bit for bit, and no
+    negative cycle is reachable from its source (DESIGN.md §11).
+    """
+    if before is None or old is None:
+        return None
+    was = sl.in_slot_lengths(before, reverse)
+    now = sl.in_slot_lengths(lengths, reverse)
+    slots = (was != now).nonzero()[0]
+    if not slots.size:
+        return slots  # no length of this slice moved: no row can
+    if not _row_test_proven(was, now, sl.num_faces):
+        return None
+    tail, head = sl.workspace.in_slot_ends(slots)
+    du = old[:, tail]
+    dv = old[:, head]
+    hit = (((du + was[slots] == dv) & (dv < INF))
+           | (du + now[slots] < dv))
+    return hit.any(axis=1).nonzero()[0]
+
+
+def _sssp_rows(sl, sources, lengths, before, reverse, old, stats):
+    """Distance rows of slice ``sl`` from local ``sources`` under
+    ``lengths``: ``old`` (the same rows under ``before``, or ``None``)
+    with the rows the write can change recomputed in one batched call.
+    Returns ``(rows, redo)``, ``redo`` being :func:`_rows_to_redo`'s
+    verdict; counts the rows in ``stats``."""
+    redo = _rows_to_redo(sl, before, lengths, reverse, old)
+    if redo is None:
+        stats["recomputed_rows"] += len(sources)
+        return sl.batched_sssp(lengths, sources, reverse=reverse), None
+    stats["recomputed_rows"] += len(redo)
+    stats["reused_rows"] += len(sources) - len(redo)
+    rows = old.copy()
+    if len(redo):
+        rows[redo] = sl.batched_sssp(
+            lengths, _np.asarray(sources)[redo], reverse=reverse)
+    return rows, redo
+
+
+def _label_leaf(compiled, bag_id, lengths, before, store, state, apsp,
+                stats):
     """Leaf bag: whole-bag APSP in one batched Bellman–Ford call; its
     rows ``rows[v][h] = dist(nodes[v] -> nodes[h])`` are the bag's
-    label table (a ``dist_from`` is a column of the same rows)."""
+    label table (a ``dist_from`` is a column of the same rows).
+
+    A repair (numpy only) keeps the float64 APSP in ``state[bag_id]``
+    from the leaf's first repair on, and the next repair recomputes
+    only the rows :func:`_rows_to_redo` selects, converting just those
+    to Python-scalar rows."""
     t0 = time.perf_counter()
     sl = compiled.slices[bag_id]
     k = len(sl.nodes)
     if k == 0:
         return
     try:
-        rows = sl.batched_sssp(lengths, range(k))
+        rows, redo = _sssp_rows(sl, range(k), lengths, before, False,
+                                state.get(bag_id), stats)
     except NegativeCycleError:
         raise NegativeCycleError(
             f"negative cycle in leaf bag {bag_id}",
             where=("leaf", bag_id))
     apsp[bag_id] = rows
-    store[bag_id] = ([_as_scalars(rows)], None)
+    if redo is None:
+        table = _as_scalars(rows)
+    else:
+        table = list(store[bag_id][0][0])
+        for r, row in zip(redo.tolist(), _as_scalars(rows[redo])):
+            table[r] = row
+    store[bag_id] = ([table], None)
+    if before is not None:
+        state[bag_id] = rows
     obs.observe("labeling.leaf_apsp_seconds", time.perf_counter() - t0)
 
 
@@ -884,8 +990,8 @@ def _ddg_stage_py(compiled, rec, fwd, lengths):
     return fd, self_dist, m_out_c, m_in_c
 
 
-def _label_internal(compiled, bag_id, lengths, store, state, apsp, dirty,
-                    stats):
+def _label_internal(compiled, bag_id, lengths, before, store, state, apsp,
+                    dirty, stats):
     """Internal bag: child anchored rows, the DDG stage, and the bag's
     label table — block 0 the ``F_X`` rows, block ``1 + ci`` the rows
     of the nodes child ``ci`` owns, each a ``(to rows, from rows)``
@@ -899,7 +1005,9 @@ def _label_internal(compiled, bag_id, lengths, store, state, apsp, dirty,
     # A clean child's slice lengths are untouched, so its recorded
     # matrices from the last build are exactly what a fresh SSSP would
     # return — the dominant per-bag cost a repair skips.  A leaf child
-    # relabeled in this pass already holds every row in its APSP.
+    # relabeled in this pass already holds every row in its APSP.  A
+    # dirty non-leaf child recomputes only the rows the write can
+    # change (:func:`_sssp_rows`).
     fwd = []     # fwd[ci][a][node] = d_c(cf[a] -> node)
     back = []    # back[ci][a][node] = d_c(node -> cf[a])
     for ci, child in enumerate(rec.children):
@@ -915,9 +1023,12 @@ def _label_internal(compiled, bag_id, lengths, store, state, apsp, dirty,
         rows = apsp.get(child.bag_id)
         if rows is None:
             sl = compiled.slices[child.bag_id]
-            fwd.append(sl.batched_sssp(lengths, child.cf_local))
-            back.append(sl.batched_sssp(lengths, child.cf_local,
-                                        reverse=True))
+            was = (None, None) if old is None else (old.fwd[ci],
+                                                    old.back[ci])
+            fwd.append(_sssp_rows(sl, child.cf_local, lengths, before,
+                                  False, was[0], stats)[0])
+            back.append(_sssp_rows(sl, child.cf_local, lengths, before,
+                                   True, was[1], stats)[0])
             stats["sssp_children"] += 1
         elif _np is not None:
             fwd.append(rows[child.cf_local])

@@ -378,6 +378,14 @@ class FlowWorkspace:
         whole length load for :meth:`load_in_slot_lengths`."""
         return _np.asarray(dart_map, dtype=_np.intp)[self._vec.in_dart]
 
+    def in_slot_ends(self, slots):
+        """``(tail faces, head faces)`` of the arcs at the in-slot
+        positions ``slots`` (numpy only); the head of a slot is the
+        face whose ``indptr`` segment holds it."""
+        v = self._vec
+        return (v.in_tail[slots],
+                _np.searchsorted(v.indptr, slots, side="right") - 1)
+
     def load_in_slot_lengths(self, len_in):
         """Load float64 lengths already in in-slot order (numpy only)."""
         self._vec.len_in = len_in

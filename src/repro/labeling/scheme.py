@@ -179,18 +179,20 @@ class DualDistanceLabeling:
         (DESIGN.md §11).  Engine backend only.
 
         ``changes`` maps global dart -> new length.  No-op entries
-        (already at that length) are dropped; the remaining darts
-        determine the dirty bag set, and only those bags are
-        recomputed — reusing each clean child's recorded SSSP matrices
-        and skipping its node labels outright when its DDG boundary
-        rows come back unchanged.  The repaired labels are
+        (already at that length, of the same type) are dropped; the
+        remaining darts determine the dirty bag set, and only those
+        bags are recomputed — reusing each clean child's recorded SSSP
+        matrices, skipping its node labels outright when its DDG
+        boundary rows come back unchanged, and rerunning in a dirty
+        slice only the rows the change can move.  The repaired labels are
         *bit-identical* to a from-scratch rebuild under the new
         lengths, including the first :class:`NegativeCycleError`
         (message and ``where``) — but after such a raise the labeling
         is corrupt (partially repriced) and must be discarded.
 
         Returns a stats dict (``changed_darts``, ``dirty_bags``,
-        ``total_bags`` and per-kind recompute counters).
+        ``total_bags``, per-kind recompute counters and the
+        ``recomputed_rows`` / ``reused_rows`` of the dirty slices).
         """
         if self._repair is None:
             raise ValueError("reprice() requires a labeling built "
@@ -198,7 +200,8 @@ class DualDistanceLabeling:
         self._label_objs = None
         return repair_dual_labels_engine(
             self, {d: v for d, v in changes.items()
-                   if self.lengths.get(d) != v})
+                   if self.lengths.get(d) != v
+                   or type(self.lengths.get(d)) is not type(v)})
 
     # ------------------------------------------------------------------
     def _compute(self):

@@ -13,11 +13,13 @@ below have unique minima, so the witnesses coincide too.
 """
 
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+import repro.core.girth as girth_module
 from repro.baselines.centralized import (
     centralized_directed_global_mincut,
     centralized_weighted_girth,
@@ -34,6 +36,7 @@ from repro.engine.cycles import (
     min_dart_simple_cycle,
     primal_cycle_arcs,
 )
+from repro.errors import SimulationError
 from repro.planar.dual import cut_edges_of_dual_cut, is_simple_cycle
 from repro.planar.generators import (
     bidirect,
@@ -113,6 +116,54 @@ def test_girth_parallel_dual_edges():
     assert a.value == b.value == sum(g.weights)
     assert a.cycle_edge_ids == b.cycle_edge_ids == [0, 1, 2, 3]
     assert a.cut_side_faces == b.cut_side_faces
+
+
+#: non-integral float weights whose sums round differently by order
+FLOAT_POOL = (0.1, 0.2, 0.3, 0.7, 1.1, 0.1 + 1e-12, None)  # None: random()
+
+
+def _float_weighted(make, seed):
+    g = make()
+    rng = random.Random(seed)
+    for e in range(g.m):
+        w = rng.choice(FLOAT_POOL)
+        g.weights[e] = rng.random() if w is None else w
+    return g
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("make", [
+    lambda seed: grid(4, 4),
+    lambda seed: random_planar(16, seed=seed),
+], ids=["grid4x4", "random_planar16"])
+def test_legacy_girth_on_float_weights(make, seed):
+    """The legacy girth compares its cycle's weight with the min-cut's
+    bundled cut edges within float rounding (it used to require equal
+    floats and raised on 11 of these 40 instances); the value is its
+    cycle summed in edge-id order, and within the same rounding bound
+    of the engine's (whose cycle may be another of a near-tie)."""
+    g = _float_weighted(lambda: make(seed), seed)
+    a = weighted_girth(g)
+    b = weighted_girth(g, backend="engine")
+    assert a.value == sum(g.weights[e] for e in a.cycle_edge_ids)
+    slack = (len(a.cycle_edge_ids) + 1) * 2.0 ** -52
+    assert abs(a.value - b.value) <= slack * a.value
+
+
+def test_legacy_girth_cut_weight_mismatch_raises(monkeypatch):
+    """A cut whose bundle weights differ from its cycle's beyond float
+    rounding is a typed SimulationError, not an assert."""
+    mincut = girth_module.minor_aggregate_mincut
+
+    def skewed(nodes, edges, weights, **kw):
+        res = mincut(nodes, edges, weights, **kw)
+        weights[res.cut_edge_ids[0]] += 1e-9
+        return res
+
+    monkeypatch.setattr(girth_module, "minor_aggregate_mincut", skewed)
+    g = _float_weighted(lambda: grid(4, 4), 0)
+    with pytest.raises(SimulationError, match="bundled cut weight"):
+        weighted_girth(g)
 
 
 # ----------------------------------------------------------------------

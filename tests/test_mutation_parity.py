@@ -17,6 +17,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro._compat import np
 from repro.bdd import build_bdd
 from repro.errors import AuditError, NegativeCycleError, ServiceError
 from repro.labeling import DualDistanceLabeling
@@ -74,6 +75,42 @@ def assert_bit_parity(cat, name, g, pairs, leaf_size=LEAF):
         assert a == b and type(a) is type(b)
 
 
+def assert_same_bits(a, b):
+    """Equal bit for bit: float64 arrays byte for byte, lists element
+    by element, scalars by value *and* Python type."""
+    if np is not None and isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray) and a.shape == b.shape
+        assert a.astype(np.float64).tobytes() \
+            == b.astype(np.float64).tobytes()
+    elif isinstance(a, (list, tuple)):
+        assert isinstance(b, (list, tuple)) and len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_bits(x, y)
+    else:
+        assert a == b and type(a) is type(b)
+
+
+def assert_matches_cold(lab, lengths):
+    """An engine labeling after repairs must equal a cold engine build
+    of ``lengths`` bit for bit: the same label store (values and Python
+    types) and the same repair state — every internal bag's anchored
+    child matrices and boundary rows, and each leaf's float64 APSP,
+    which a repair keeps from the leaf's first repair on (the cold
+    build keeps none: its label rows are those values exactly)."""
+    cold = DualDistanceLabeling(lab.bdd, dict(lengths), duals=lab.duals,
+                                backend="engine")
+    assert set(lab._store) == set(cold._store)
+    for bag, tables in cold._store.items():
+        assert_same_bits(lab._store[bag], tables)
+    assert set(cold._repair) <= set(lab._repair)
+    for bag, state in lab._repair.items():
+        if bag in cold._repair:
+            assert_same_bits(list(state), list(cold._repair[bag]))
+        else:
+            assert_same_bits(state, np.array(cold._store[bag][0][0],
+                                             dtype=np.float64))
+
+
 # ----------------------------------------------------------------------
 # hypothesis: random mutate/set_weights/query sequences, audited
 # ----------------------------------------------------------------------
@@ -112,6 +149,49 @@ def test_random_mutation_sequences_bit_parity(family, data):
         pairs = data.draw(st.lists(pair_st, min_size=2, max_size=4),
                           label="audit pairs")
         assert_bit_parity(cat, "g", g, pairs)
+
+
+#: adversarial weights: zero lengths, all-equal ties (a base weight and
+#: its double) and non-integral floats, subnormals included
+ADVERSARIAL = {
+    "zeros": st.sampled_from([0, 0, 0.0, 1, 2]),
+    "ties": st.sampled_from([2.5, 5.0]),
+    "floats": st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1, 0.1 + 1e-12])
+    | st.floats(0.0, 8.0, allow_nan=False),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_adversarial_weight_sequences_match_cold_build(family, data):
+    """Random write sequences over zero, tied and non-integral float
+    weights: after every step the repaired labeling's store and repair
+    state equal a cold engine build of the same weights bit for bit
+    (on non-integral floats the engine is its own reference, see
+    :mod:`repro.engine.labels`)."""
+    kind = data.draw(st.sampled_from(sorted(ADVERSARIAL)), label="kind")
+    weight = ADVERSARIAL[kind]
+    g = make_family(family)
+    g.weights[:] = [2.5 if kind == "ties" else data.draw(weight)
+                    for _ in range(g.m)]
+    cat = GraphCatalog()
+    cat.register("g", g)
+    lab = cat.get("g").labeling(leaf_size=LEAF)
+    nf = g.num_faces()
+    for _ in range(data.draw(st.integers(2, 5), label="steps")):
+        eids = data.draw(st.lists(st.integers(0, g.m - 1), min_size=1,
+                                  max_size=6, unique=True), label="eids")
+        report = cat.mutate_weights(
+            "g", {eid: data.draw(weight, label=f"w[{eid}]")
+                  for eid in eids})
+        for row in report["labelings"]:
+            assert row["action"] == "repaired"
+        f, h = data.draw(st.tuples(st.integers(0, nf - 1),
+                                   st.integers(0, nf - 1)), label="pair")
+        cat.serve(DistanceQuery("g", f, h, leaf_size=LEAF))
+        assert cat.get("g").labeling(leaf_size=LEAF) is lab
+        assert_matches_cold(lab, default_dual_lengths(g))
 
 
 @settings(max_examples=8, deadline=None)
