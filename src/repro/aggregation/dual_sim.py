@@ -18,7 +18,8 @@ host serves the dart-level cycle oracle of the primal topology that the
 engine girth (Theorem 1.7) extracts dual cuts from, by cycle-cut duality
 (Fact 3.1).  There is one oracle per topology in the shared cache; a
 weight write rewrites only the written edges' arcs on the next use, and
-the oracle keeps the last girth cycle to bound the next sweep.  On this
+the oracle keeps the last girth cycle to bound the next sweep and a
+lower bound per vertex to skip sources by.  On this
 backend :meth:`charge` is a no-op and ``pa_rounds`` is 0: the engine
 leaves the ledger unaudited, exactly like the flow engine (DESIGN.md
 §2/§6).

@@ -13,6 +13,8 @@ import heapq
 import math
 from collections import deque
 
+from repro.errors import NegativeWeightError
+
 
 def centralized_max_flow(graph, s, t, directed=True):
     """BFS-augmenting-path (Edmonds-Karp) max flow on the primal graph.
@@ -90,7 +92,10 @@ def _dijkstra(adj, source, forbidden_eid=None):
 
 def centralized_weighted_girth(graph):
     """Exact min-weight cycle: for each edge, its weight plus the
-    shortest path between its endpoints avoiding it.  O(m · Dijkstra)."""
+    shortest path between its endpoints avoiding it.  O(m · Dijkstra).
+    Raises :class:`~repro.errors.NegativeWeightError` on a negative
+    weight, where Dijkstra need not stop."""
+    NegativeWeightError.check(graph.weights)
     adj = {}
     for eid, (u, v) in enumerate(graph.edges):
         w = graph.weights[eid]

@@ -17,7 +17,8 @@ cycle of G, extracted directly as the minimum dart-simple cycle of the
 compiled primal (one pruned two-best Dijkstra per vertex,
 :mod:`repro.engine.cycles`) — no simulation host, no tree packing, no
 round audit.  The sweep is bounded from the start by the previous girth
-cycle of the same topology, re-weighted (:func:`_warm_bound`).  Both
+cycle of the same topology, re-weighted (:func:`_warm_bound`), and
+skips every vertex whose kept lower bound reaches the running best.  Both
 backends canonicalize ``cut_side_faces`` to the dual side not
 containing face 0, so on instances with a unique minimum cycle the
 results are bit-identical (``tests/test_engine_girth_parity.py``).
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from repro.aggregation.dual_sim import DualMAHost
 from repro.aggregation.mincut_ma import minor_aggregate_mincut
 from repro.aggregation.orientation import deactivate_parallel_edges
-from repro.errors import SimulationError
+from repro.errors import NegativeWeightError, SimulationError
 from repro.planar.dual import is_simple_cycle
 
 BACKENDS = ("legacy", "engine")
@@ -52,7 +53,9 @@ class GirthResult:
 def weighted_girth(graph, ledger=None, num_trees=None, backend="legacy"):
     """Minimum-weight cycle of an undirected weighted planar graph.
 
-    Returns None when the graph is a forest (no cycle).  The round
+    Returns None when the graph is a forest (no cycle).  Raises
+    :class:`~repro.errors.NegativeWeightError` naming the first negative
+    weight, on a forest too, on both backends.  The round
     ledger is audited on the legacy backend only; ``num_trees`` (the
     tree-packing knob of the Theorem 4.16 substitute) has no effect on
     the engine backend.
@@ -60,10 +63,11 @@ def weighted_girth(graph, ledger=None, num_trees=None, backend="legacy"):
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; "
                          f"expected one of {BACKENDS}")
-    if graph.num_faces() < 2:
-        return None
     if backend == "engine":
         return _weighted_girth_engine(graph)
+    NegativeWeightError.check(graph.weights)
+    if graph.num_faces() < 2:
+        return None
 
     host = DualMAHost(graph, ledger=ledger)
     ma = host.ma_graph()
@@ -116,10 +120,15 @@ def _weighted_girth_engine(graph):
     (cycle-cut duality makes it the minimum cut of G*)."""
     from repro.engine.cycles import min_dart_simple_cycle
 
+    # synced before the forest check, so a negative weight is refused
+    # on a forest too, as on the legacy backend
     oracle = DualMAHost(graph, backend="engine").engine_cycle_oracle()
+    if graph.num_faces() < 2:
+        return None
     bound = _warm_bound(graph.weights, oracle.last_cycle)
     value, darts = min_dart_simple_cycle(oracle, range(graph.n),
-                                         best=(bound, None))
+                                         best=(bound, None),
+                                         bounds=oracle.lb)
     if darts is None:
         if bound == math.inf:  # a connected graph with >= 2 faces has one
             return None

@@ -32,7 +32,38 @@ bound`` (lengths are nonnegative), so truncating the settle loop at
 comparison; candidates at or above the bound may be missed or differ,
 but the caller discards those either way.  The bound therefore never
 changes the final result — it only skips work on sources that cannot
-improve it.
+improve it.  The same holds one level up: a source whose cycles are
+known to weigh at least the running best cannot win the strict
+comparison either, so :func:`min_dart_simple_cycle` skips it outright
+when a per-source lower bound says so (the girth's ``lb`` list below).
+
+Per-source lower bounds (the girth sweep): :class:`PrimalCycleOracle`
+keeps ``lb[v]``, a lower bound on the value the kernel computes for a
+source v.  Two facts keep it valid:
+
+* *Static bound.*  A dart-simple cycle through v is a self-loop at v or
+  uses two distinct non-loop edges at v (it leaves on its first dart,
+  closes on an arc that is not that dart's reverse, and never revisits
+  v).  With nonnegative weights every partial sum of its walk is at
+  least its first term, and float rounding is monotone, so its computed
+  value is at least ``min(lightest self-loop, w1 + w2)`` over the two
+  lightest non-loop edges at v.  Above 2^53 an int converts to a float
+  with rounding, so a walk that mixes in a float may sum below the
+  exact ``w1 + w2``; such a vertex gets the bound 0.
+* *Kept bound.*  A source run with bound β proved its value exactly
+  when it found v < β, and proved ``≥ β`` otherwise; it records that.
+  The computed value is a minimum over a family of walk sums that does
+  not depend on the weights, and each sum is monotone in every weight
+  as long as no weight changes its Python type (int sums are exact;
+  int → float conversion and float addition round monotonically).  So
+  a recorded bound survives any :meth:`~PrimalCycleOracle.sync` in
+  which every changed weight rose and kept its type.  Any other change
+  resets ``lb`` to the static bound, which ``sync`` maintains for the
+  endpoints of changed edges only.
+
+The girth sweep skips v when ``lb[v] ≥`` the running best.  A skipped
+source could not have won the strict comparison, so value, witness and
+tie-breaks equal a cold sweep's that runs every source.
 
 Warm starts (the girth after a weight write): a write leaves the
 topology alone, so the last girth cycle C is still a cycle and its
@@ -51,10 +82,12 @@ from __future__ import annotations
 import math
 
 from repro.engine.dijkstra import TwoBestDijkstra
-from repro.errors import SimulationError
+from repro.errors import NegativeWeightError, SimulationError
 from repro.planar.graph import rev
 
 INF = math.inf
+#: below this every int converts to float exactly
+_EXACT = 2 ** 53
 
 
 class DartCycleOracle:
@@ -166,7 +199,7 @@ class DartCycleOracle:
         return None
 
 
-def min_dart_simple_cycle(oracle, candidates, best=None):
+def min_dart_simple_cycle(oracle, candidates, best=None, bounds=None):
     """Minimum dart-simple cycle through any of ``candidates``.
 
     Scans candidates in order with strict improvement (first winner is
@@ -175,13 +208,22 @@ def min_dart_simple_cycle(oracle, candidates, best=None):
     previous ``(value, dart list)`` or None) seeds the scan, so batched
     callers — one call per dual bag — carry one running optimum through
     every batch; a seed ``(bound, None)`` is a bare upper bound (only
-    cycles strictly below it can win).  Returns the final best or None.
+    cycles strictly below it can win).  ``bounds`` (the girth's
+    :attr:`PrimalCycleOracle.lb`) is read and written: a candidate whose
+    bound is at least the running best is skipped, and each candidate
+    run records what it proved (its exact value below the running best,
+    else the running best).  Returns the final best or None.
     """
     for f in candidates:
-        cand = oracle.min_cycle_through(
-            f, bound=best[0] if best is not None else INF)
+        beta = best[0] if best is not None else INF
+        if bounds is not None and bounds[f] >= beta:
+            continue
+        cand = oracle.min_cycle_through(f, bound=beta)
         if cand is not None and (best is None or cand[0] < best[0]):
             best = cand
+        if bounds is not None:
+            # its exact value if it won, else at least beta
+            bounds[f] = best[0] if best is not None else INF
     return best
 
 
@@ -205,9 +247,12 @@ class PrimalCycleOracle(DartCycleOracle):
     up to date with a weight list of the same topology; ``last_cycle``
     holds the edge ids of the last girth winner (a cycle of this
     topology under any weights), or None before the first girth.
+    ``lb`` holds the per-vertex lower bounds the girth sweep skips
+    sources by (module docstring), ``static`` the bounds they reset to.
     """
 
-    __slots__ = ("weights", "last_cycle", "_out_slot", "_in_slot")
+    __slots__ = ("weights", "last_cycle", "lb", "static", "_negative",
+                 "_out_slot", "_in_slot")
 
     def __init__(self, graph):
         super().__init__(graph.n)
@@ -221,26 +266,78 @@ class PrimalCycleOracle(DartCycleOracle):
                 out_slot[d] = (u, i)
             for i, (_t, d, _w) in enumerate(self.in_adj[u]):
                 in_slot[d] = (u, i)
+        self.static = [self._static_bound(v) for v in range(graph.n)]
+        self.lb = list(self.static)
+        #: ids of the edges whose loaded weight is negative
+        self._negative = {e for e, w in enumerate(self.weights) if w < 0}
+
+    def _static_bound(self, v):
+        """``min(lightest self-loop, w1 + w2)`` at ``v``, or 0 where the
+        sum exceeds 2^53 (module docstring)."""
+        loop = w1 = w2 = INF
+        for (_d, h, w) in self.adj[v]:
+            if h == v:
+                if w < loop:
+                    loop = w
+            elif w < w1:
+                w1, w2 = w, w1
+            elif w < w2:
+                w2 = w
+        pair = w1 + w2
+        if _EXACT < pair < INF:
+            pair = 0
+        return loop if loop < pair else pair
 
     def sync(self, weights):
         """Rewrite, in place, the two arcs of every edge whose weight
         differs from the loaded one by value or by Python type (``1`` →
-        ``1.0`` is a change, so lengths keep the graph's number type)."""
+        ``1.0`` is a change, so lengths keep the graph's number type).
+
+        Keeps ``lb`` when every change raised a weight and kept its
+        type, and resets it to ``static`` otherwise.  Raises
+        :class:`~repro.errors.NegativeWeightError` for the first
+        negative weight after the update; only changed edges are
+        checked, so the check adds no scan of its own."""
         mine = self.weights
         adj = self.adj
         in_adj = self.in_adj
         out_slot = self._out_slot
         in_slot = self._in_slot
+        negative = self._negative
+        ends = []
+        raised = True
         for eid, w in enumerate(weights):
             old = mine[eid]
             if w is old or (w == old and type(w) is type(old)):
                 continue
+            if raised and not (w > old and type(w) is type(old)):
+                raised = False
+            if w < 0:
+                negative.add(eid)
+            else:
+                negative.discard(eid)
             mine[eid] = w
             for d in (2 * eid, 2 * eid + 1):
                 u, i = out_slot[d]
                 adj[u][i] = (d, adj[u][i][1], w)
                 h, j = in_slot[d]
                 in_adj[h][j] = (in_adj[h][j][0], d, w)
+            ends.append(u)
+            ends.append(h)
+        if ends:
+            static = self.static
+            for v in ends:
+                static[v] = self._static_bound(v)
+            if raised:
+                lb = self.lb
+                for v in ends:
+                    if static[v] > lb[v]:
+                        lb[v] = static[v]
+            else:
+                self.lb[:] = static
+        if negative:
+            eid = min(negative)
+            raise NegativeWeightError.at(eid, mine[eid])
 
 
 def cycle_side_faces(graph, cycle_edge_ids):
@@ -251,31 +348,54 @@ def cycle_side_faces(graph, cycle_edge_ids):
     0** is returned (sorted), making the choice backend-independent.
     Both backends of :func:`repro.core.girth.weighted_girth` normalize
     their reported ``cut_side_faces`` through this function.
+
+    The two blocks are flooded at once, one face per side in turn, from
+    the two faces of one cycle edge: a face reaches its neighbors across
+    its non-cycle edges.  The flood stops when either side runs out, so
+    it costs the smaller block plus |C|, not m.  Raises
+    :class:`~repro.errors.SimulationError` when the two floods meet or
+    when an edge of C does not have exactly one face on the finished
+    side — with a simple cycle (:func:`repro.planar.dual.is_simple_cycle`
+    holds for every caller's C), a bond of G*, that is the old "exactly
+    two blocks" check.
     """
+    if not cycle_edge_ids:
+        raise SimulationError("an empty edge set does not split the dual")
     cyc = set(cycle_edge_ids)
-    nf = graph.num_faces()
-    parent = list(range(nf))
-
-    def find(x):
-        r = x
-        while parent[r] != r:
-            r = parent[r]
-        while parent[x] != r:
-            parent[x], x = r, parent[x]
-        return r
-
-    for eid in range(graph.m):
-        if eid in cyc:
-            continue
-        a = find(graph.face_of[2 * eid])
-        b = find(graph.face_of[2 * eid + 1])
-        if a != b:
-            parent[a] = b
-    r0 = find(0)
-    side = [f for f in range(nf) if find(f) != r0]
-    blocks = {find(f) for f in range(nf)}
-    if len(blocks) != 2:
-        raise SimulationError(
-            f"cycle does not split the dual into two sides "
-            f"({len(blocks)} blocks)")
-    return side
+    face_of = graph.face_of
+    faces = graph.faces
+    e0 = cycle_edge_ids[0]
+    a, b = face_of[2 * e0], face_of[2 * e0 + 1]
+    if a == b:
+        raise SimulationError(f"cycle edge {e0} has one face on both "
+                              f"sides")
+    side = {a: 0, b: 1}
+    blocks = ([a], [b])
+    done = [0, 0]
+    s = 0
+    while done[s] < len(blocks[s]):
+        f = blocks[s][done[s]]
+        done[s] += 1
+        for d in faces[f]:
+            if d >> 1 in cyc:
+                continue
+            g = face_of[d ^ 1]
+            t = side.get(g)
+            if t is None:
+                side[g] = s
+                blocks[s].append(g)
+            elif t != s:
+                raise SimulationError(
+                    "cycle does not split the dual into two sides "
+                    "(its floods meet)")
+        s ^= 1
+    # side s is closed: it holds every face it reaches across a
+    # non-cycle edge
+    for e in cyc:
+        if (side.get(face_of[2 * e]) == s) == (side.get(face_of[2 * e + 1])
+                                               == s):
+            raise SimulationError(
+                f"cycle edge {e} does not border the closed side")
+    if side.get(0) == s:
+        return [f for f in range(len(faces)) if side.get(f) != s]
+    return sorted(blocks[s])

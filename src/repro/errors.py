@@ -25,6 +25,24 @@ class NegativeCycleError(ReproError):
         self.where = where
 
 
+class NegativeWeightError(ReproError):
+    """A query that needs nonnegative weights (the weighted girth) was
+    given a negative one.  The message names the first negative edge id
+    and its weight, identically on every backend and across the wire."""
+
+    @classmethod
+    def at(cls, eid, weight):
+        return cls(f"edge {eid}: weight {weight!r} is negative; the "
+                   f"girth needs nonnegative weights")
+
+    @classmethod
+    def check(cls, weights):
+        """Raise for the first negative entry of ``weights``."""
+        for eid, w in enumerate(weights):
+            if w < 0:
+                raise cls.at(eid, w)
+
+
 class InfeasibleFlowError(ReproError):
     """A requested flow value is not feasible."""
 
