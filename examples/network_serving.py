@@ -109,6 +109,14 @@ def main(argv=None):
             for kind, row in stats["by_kind"].items():
                 print(f"  {kind:<14} count={row['count']:<4} "
                       f"warm={row['warm']}")
+            # the pool accounts served traffic with observability off
+            # too: health judges each served kind, never an empty set
+            health = client.health()
+            slos = health["slos"]["slos"]
+            assert slos, health
+            print(f"health: {health['state']}/{health['status']}, "
+                  + ", ".join(f"{s['kind']} {s['status']} "
+                              f"({s['count']})" for s in slos))
 
             # 5. live weight mutation (DESIGN.md §11): delta-reprice
             #    a few edges pool-wide, then audit the repaired

@@ -10,8 +10,8 @@ Three pillars, all stdlib-only and off by default:
   stitch across client → server thread → forked worker;
 * **metrics** (:mod:`repro.obs.metrics`): a process-local registry of
   counters, gauges and fixed-bucket histograms whose snapshots merge
-  across processes — workers ship deltas back on the existing result
-  queue and the pool master aggregates;
+  across processes — workers ship deltas back on their reply frames
+  and the pool master aggregates;
 * **export** (:mod:`repro.obs.sink` / :mod:`repro.obs.export`): ring
   buffer and NDJSON file sinks, a Prometheus text renderer behind the
   ``metrics`` wire verb, and a ``python -m repro.obs`` tail/summarize
@@ -79,7 +79,6 @@ from repro.obs.trace import (
     ingest,
     new_trace_id,
     observe,
-    observe_windowed,
     record_span,
     registry,
     remove_sink,
@@ -111,7 +110,6 @@ __all__ = [
     "registry",
     "inc",
     "observe",
-    "observe_windowed",
     "set_gauge",
     "Counter",
     "Gauge",

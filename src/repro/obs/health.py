@@ -6,8 +6,9 @@ Two pieces sit on top of the raw observability layer:
 * :class:`SloPolicy` — a declarative latency + error budget for one
   query kind, evaluated by :func:`evaluate_slo` against the rolling
   ``health.query_seconds.<kind>`` / ``health.error_seconds.<kind>``
-  windows that :func:`repro.service.execute_query` feeds.  The verdict
-  is ``ok`` / ``warn`` / ``breach`` plus a *burn rate* (how fast the
+  windows that :class:`repro.server.pool.WarmWorkerPool` writes as
+  each query completes.  The verdict is ``ok`` / ``warn`` /
+  ``breach`` plus a *burn rate* (how fast the
   budget is being consumed: 1.0 means exactly at budget, 2.0 means
   burning twice the allowance).
 * :class:`FlightRecorder` — a :class:`~repro.obs.sink.Sink` that
@@ -36,7 +37,7 @@ from repro.obs.export import _prom_name, _prom_num
 from repro.obs.metrics import WindowedHistogram
 from repro.obs.sink import Sink
 
-#: metric-name prefixes the serving instrumentation writes and
+#: metric-name prefixes the serving pool writes and
 #: :func:`evaluate_slo` reads
 LATENCY_PREFIX = "health.query_seconds."
 ERROR_PREFIX = "health.error_seconds."

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from bisect import bisect_left
 
 #: default histogram bucket upper bounds (seconds): exponential from
 #: 10 µs to ~42 s, the range of everything the stack times — a warm
@@ -98,11 +99,8 @@ class Histogram:
             self.min = v
         if v > self.max:
             self.max = v
-        for i, bound in enumerate(self.buckets):
-            if v <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        # the first bucket whose bound is >= v; past the last, overflow
+        self.counts[bisect_left(self.buckets, v)] += 1
 
     @property
     def mean(self):
@@ -198,13 +196,7 @@ class WindowedHistogram:
             slot = self._slots[idx] = [
                 [0] * (len(self.buckets) + 1), 0, 0.0, math.inf,
                 -math.inf]
-        counts = slot[0]
-        for i, bound in enumerate(self.buckets):
-            if v <= bound:
-                counts[i] += 1
-                break
-        else:
-            counts[-1] += 1
+        slot[0][bisect_left(self.buckets, v)] += 1
         slot[1] += 1
         slot[2] += v
         if v < slot[3]:
@@ -217,6 +209,9 @@ class WindowedHistogram:
         """Record a newly seen slot index and expire what it pushes out
         of the retention horizon (``slots`` live slots ending at the
         max index ever seen)."""
+        if self._max_slot is not None \
+                and self._max_slot - self.slots < idx <= self._max_slot:
+            return  # the horizon holds still and ``idx`` is inside it
         if self._max_slot is None or idx > self._max_slot:
             self._max_slot = idx
         cutoff = self._max_slot - self.slots

@@ -17,9 +17,8 @@ spans stitch across client → server thread → forked worker: see
 
 **The disabled path is the design center.**  The layer gates itself
 on one module-global bool: :func:`span` returns one shared no-op
-context manager, the metric helpers (:func:`inc`, :func:`observe`,
-:func:`observe_windowed`, :func:`set_gauge`) return before touching
-the registry, and :func:`current_trace` / :func:`activate_trace` are
+context manager, the metric helpers (:func:`inc`, :func:`observe`, :func:`set_gauge`)
+return before touching the registry, and :func:`current_trace` / :func:`activate_trace` are
 inert while it is off.  An instrumented site therefore keeps one body
 and costs a few function calls when disabled
 (``benchmarks/bench_obs.py`` gates the warm-query overhead at ≤ 2%).
@@ -136,11 +135,6 @@ def inc(name, n=1):
 def observe(name, value):
     if _enabled:
         _registry.observe(name, value)
-
-
-def observe_windowed(name, value, now=None):
-    if _enabled:
-        _registry.observe_windowed(name, value, now)
 
 
 def set_gauge(name, value):
@@ -337,7 +331,6 @@ __all__ = [
     "reset",
     "inc",
     "observe",
-    "observe_windowed",
     "set_gauge",
     "new_trace_id",
     "current_trace",

@@ -19,7 +19,7 @@ the connection over a bad frame.
 Note the order: the pool forks its workers before the server starts
 accepting connections, so the fork happens while the process is still
 single-threaded — handler threads only ever talk to already-running
-workers through queues.
+workers over the pool's socket pairs.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ class QueryServer:
             raise ProtocolError("register frame needs a 'name'")
         graph = wire.graph_from_wire(frame.get("graph"))
         self.pool.register(name, graph,
-                           overwrite=bool(frame.get("overwrite")))
+                           overwrite=_flag(frame, "overwrite", False))
         return {"registered": name}
 
     def _on_set_weights(self, frame):
@@ -205,7 +205,7 @@ class QueryServer:
 
     def _on_stats(self, frame):
         return {"stats": self.pool.stats(
-            worker_catalogs=bool(frame.get("worker_catalogs", True)))}
+            worker_catalogs=_flag(frame, "worker_catalogs", True))}
 
     def _on_metrics(self, frame):
         return _formatted(frame, "metrics", "snapshot",
@@ -217,8 +217,7 @@ class QueryServer:
 
     def _on_exemplars(self, frame):
         limit = frame.get("limit")
-        if limit is not None and (not isinstance(limit, int)
-                                  or limit < 1):
+        if limit is not None and (type(limit) is not int or limit < 1):
             raise ProtocolError("exemplars 'limit' must be a positive "
                                 "integer")
         if self.flight_recorder is None:
@@ -242,6 +241,16 @@ class QueryServer:
 #: verb -> handler, one ``_on_<verb>`` method per :data:`wire.VERBS` key
 QueryServer._HANDLERS = {verb: getattr(QueryServer, f"_on_{verb}")
                          for verb in wire.VERBS}
+
+
+def _flag(frame, field, default):
+    """The boolean ``field`` of ``frame`` (``default`` when absent);
+    anything but a JSON boolean is a :class:`ProtocolError`."""
+    value = frame.get(field, default)
+    if not isinstance(value, bool):
+        raise ProtocolError(f"{frame.get('verb')} {field!r} must be a "
+                            f"boolean, not {value!r}")
+    return value
 
 
 def _formatted(frame, verb, default, report, prometheus):

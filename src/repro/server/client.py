@@ -295,14 +295,16 @@ class ServiceClient:
         return self._call("exemplars", **payload)["exemplars"]
 
     def metrics(self, format="snapshot"):
-        """The server's aggregated :mod:`repro.obs` metrics registry
-        (master + every worker delta shipped so far).
+        """The server pool's metrics (see
+        :meth:`~repro.server.pool.WarmWorkerPool.metrics`): its own
+        always-on ``pool.*`` and ``health.*`` series over the
+        aggregated :mod:`repro.obs` registry (master + every worker
+        delta shipped so far).
 
         ``format="snapshot"`` returns the JSON-safe registry snapshot
         dict; ``format="prometheus"`` returns the Prometheus
         text-exposition rendering as one string (what
-        ``python -m repro.obs scrape`` prints).  Empty when the server
-        runs with observability disabled.
+        ``python -m repro.obs scrape`` prints).
         """
         response = self._call("metrics", format=format)
         if format == "prometheus":

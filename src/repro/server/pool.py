@@ -25,8 +25,9 @@ anything.  A
    avoid.
 
 Consistency: each worker owns a private catalog copy, and commands
-(``register``, ``set_weights``, ``mutate_weights``) are broadcast to
-every worker's socket, which is FIFO per worker — so a query
+(``register``, ``set_weights``, ``mutate_weights``) run on the master
+catalog, then go to every worker's socket as the catalog call to
+replay; the socket is FIFO per worker — so a query
 submitted *after* :meth:`set_weights` / :meth:`mutate_weights` returns
 always sees the new weights, while queries already in flight may
 complete under either weighting.  Call :meth:`drain` first for a
@@ -50,6 +51,10 @@ exception back (typed, the original class when picklable) and fails
 only that query's future; a worker that *dies* fails its in-flight
 futures with :class:`~repro.errors.ServiceError` and the pool carries
 on with the survivors.
+
+Accounting: each query is recorded once, where it completes, in the
+pool's own always-on metrics registry; ``stats``, ``health`` and
+``metrics`` all read that one registry (DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -61,11 +66,13 @@ import socket
 import struct
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import TimeoutError as FutureTimeout
 
 from repro import obs
-from repro.errors import RemoteError, ServiceError
+from repro.errors import NegativeCycleError, RemoteError, ServiceError
+from repro.obs.health import ERROR_PREFIX, LATENCY_PREFIX
 from repro.server import wire
 from repro.service.queries import execute_query
 
@@ -188,38 +195,20 @@ def _worker_main(catalog, snapshot, sock, inherited, obs_on,
                            bodies if body else None)
                 finally:
                     obs.deactivate_trace(token)
-            elif verb == "register":
-                _, name, graph, overwrite = msg
+            elif verb == "call":
+                _, job_id, method, args, kwargs = msg
+                _reply(sock, job_id, getattr(catalog, method), *args,
+                       **kwargs)
+            elif verb == "apply":
+                _, method, args, kwargs = msg
                 try:
-                    catalog.register(name, graph, overwrite=overwrite)
+                    getattr(catalog, method)(*args, **kwargs)
                 except Exception:
-                    # a failed broadcast must not kill the worker; the
-                    # master catalog already validated the same call
+                    # a failed broadcast must not kill the worker: the
+                    # master catalog already ran the same call, and a
+                    # NegativeCycleError still applied the weights (as
+                    # on the master), so the worker converges
                     pass
-            elif verb == "set_weights":
-                _, name, weights, capacities = msg
-                try:
-                    catalog.set_weights(name, weights=weights,
-                                        capacities=capacities)
-                except Exception:
-                    pass
-            elif verb == "mutate_weights":
-                _, name, edges = msg
-                try:
-                    catalog.mutate_weights(name, edges)
-                except Exception:
-                    # same contract as set_weights: the master already
-                    # validated; a NegativeCycleError here still
-                    # applied the weights and dropped the labelings
-                    # first, so the worker converges to the master's
-                    # state
-                    pass
-            elif verb == "audit":
-                _, job_id, name, leaf_size, backend = msg
-                _reply(sock, job_id, catalog.audit_labeling, name,
-                       leaf_size=leaf_size, backend=backend)
-            elif verb == "stats":
-                _reply(sock, msg[1], catalog.stats)
     except OSError:
         return  # the master end is gone
 
@@ -316,13 +305,16 @@ class WarmWorkerPool:
         self._job_counter = 0
         # (job_id, query, body, trace_ctx, t_submit)
         self._pending = deque()
-        self._futures = {}                 # job_id -> Future
-        self._assigned = {}                # job_id -> worker_id
-        self._job_kind = {}                # job_id -> "query" | probe verb
+        # job_id -> [future, query kind (None: a catalog call), worker
+        # id (None: pending)]
+        self._jobs = {}
         self._inflight = {}                # worker_id -> count
         self._completed = {}               # worker_id -> count
         self._dead = set()
-        self._by_kind = OrderedDict()      # query-type latency rollup
+        # the pool's own accounting, always on: per-kind serve
+        # histograms and warm counters, the SLO windows, and the
+        # dispatch and liveness series
+        self._registry = obs.MetricsRegistry()
         # watchdog / health state
         self._started_at = None            # monotonic, set by start()
         self._last_seen = {}               # worker_id -> monotonic
@@ -341,14 +333,7 @@ class WarmWorkerPool:
         :meth:`start`, also broadcast it to every worker (workers build
         its artifacts on demand — only pre-fork graphs inherit warmth).
         """
-        # under the lock: with workers=0 the master catalog is the
-        # serving catalog, and submit() executes queries against it
-        # from concurrent server handler threads
-        with self._lock:
-            entry = self.catalog.register(name, graph,
-                                          overwrite=overwrite)
-        self._broadcast(("register", name, graph, overwrite))
-        return entry
+        return self._apply("register", name, graph, overwrite=overwrite)
 
     def prewarm(self, names=None, kinds=("flow", "distance")):
         """Build the expensive artifacts in the master catalog, before
@@ -445,10 +430,8 @@ class WarmWorkerPool:
             if self._closed:
                 return
             self._closed = True
-            doomed = list(self._futures.values())
-            self._futures.clear()
-            self._assigned.clear()
-            self._job_kind.clear()
+            doomed = [job[0] for job in self._jobs.values()]
+            self._jobs.clear()
             self._pending.clear()
         self._watchdog_stop.set()
         if self._watchdog is not None:
@@ -500,6 +483,7 @@ class WarmWorkerPool:
         if not self._started:
             raise ServiceError("pool not started (call start())")
         fut = _PoolFuture(self)
+        kind = type(query).__name__
         if self.workers == 0:
             with self._lock:
                 if self._closed:
@@ -508,9 +492,10 @@ class WarmWorkerPool:
                     r = _execute(self.catalog, query,
                                  self._bodies if body else None)
                 except Exception as exc:
+                    self._account(kind, None)
                     fut.set_exception(exc)
                 else:
-                    self._account(type(query).__name__, r)
+                    self._account(kind, r)
                     fut.set_result(r)
             return fut
         # captured outside the lock: the ambient trace context of the
@@ -532,8 +517,7 @@ class WarmWorkerPool:
                 return fut
             self._job_counter += 1
             job_id = self._job_counter
-            self._futures[job_id] = fut
-            self._job_kind[job_id] = "query"
+            self._jobs[job_id] = [fut, kind, None]
             self._pending.append((job_id, query, body, ctx, t_submit))
             self._fill()
         return fut
@@ -560,7 +544,7 @@ class WarmWorkerPool:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             with self._lock:
-                live = [f for f in self._futures.values()]
+                live = [job[0] for job in self._jobs.values()]
                 if not live and not self._pending:
                     return
             for f in live:
@@ -576,10 +560,8 @@ class WarmWorkerPool:
         # see the same values even when handed a one-shot iterable
         weights = None if weights is None else list(weights)
         capacities = None if capacities is None else list(capacities)
-        with self._lock:  # serialize against in-process query serving
-            self.catalog.set_weights(name, weights=weights,
-                                     capacities=capacities)
-        self._broadcast(("set_weights", name, weights, capacities))
+        self._apply("set_weights", name, weights=weights,
+                    capacities=capacities)
 
     def mutate_weights(self, name, edges):
         """Delta-reprice a few edges pool-wide (DESIGN.md §11):
@@ -593,22 +575,11 @@ class WarmWorkerPool:
         :class:`~repro.errors.NegativeCycleError` is re-raised after
         the broadcast (the weights are applied everywhere and every
         catalog dropped its labelings, exactly like the master)."""
-        from repro.errors import NegativeCycleError
-
         # materialize first: master and broadcast must see the same
         # values even when handed a one-shot iterable
         edges = dict(edges) if hasattr(edges, "items") \
             else [tuple(item) for item in edges]
-        failure = None
-        with self._lock:  # serialize against in-process query serving
-            try:
-                report = self.catalog.mutate_weights(name, edges)
-            except NegativeCycleError as exc:
-                failure = exc
-        self._broadcast(("mutate_weights", name, edges))
-        if failure is not None:
-            raise failure
-        return report
+        return self._apply("mutate_weights", name, edges)
 
     def audit_labeling(self, name, leaf_size=None, backend="engine",
                        timeout=None):
@@ -622,7 +593,8 @@ class WarmWorkerPool:
             master = self.catalog.audit_labeling(name,
                                                  leaf_size=leaf_size,
                                                  backend=backend)
-        futures = self._ask_workers("audit", name, leaf_size, backend)
+        futures = self._ask_workers("audit_labeling", name,
+                                    leaf_size=leaf_size, backend=backend)
         return {"master": master,
                 "workers": {wid: fut.result(timeout=timeout)
                             for wid, fut in futures.items()}}
@@ -642,8 +614,7 @@ class WarmWorkerPool:
         now = time.monotonic()
         with self._lock:
             occupancy = self._worker_rows(now)
-            by_kind = {kind: dict(row)
-                       for kind, row in self._by_kind.items()}
+            by_kind = self._by_kind()
             pending = len(self._pending)
             master = self.catalog.stats()  # under the lock: workers=0
             #                                serves against this catalog
@@ -655,22 +626,15 @@ class WarmWorkerPool:
                  "occupancy": occupancy,
                  "by_kind": by_kind,
                  "master": master}
-        if obs.enabled():
-            # additive (wire-compatible) registry section: the same
-            # counters/latencies as by_kind plus every instrumented
-            # site, aggregated across shipped worker deltas
-            stats["metrics"] = obs.registry().snapshot()
         if worker_catalogs and self._forked():
             futures = self._ask_workers("stats")
-            from concurrent.futures import TimeoutError as _Timeout
-
             catalogs = {}
             deadline = time.monotonic() + timeout
             for wid, fut in futures.items():
                 try:
                     catalogs[wid] = fut.result(
                         timeout=max(0.0, deadline - time.monotonic()))
-                except _Timeout:
+                except FutureTimeout:
                     catalogs[wid] = {"busy": True}
                 except Exception as exc:
                     # e.g. the worker died with the probe outstanding;
@@ -680,11 +644,16 @@ class WarmWorkerPool:
         return stats
 
     def metrics(self):
-        """The aggregated :mod:`repro.obs` registry snapshot: the
-        master process's metrics plus every delta the workers have
-        shipped so far (piggybacked on their replies).
-        Empty dict when observability never ran."""
-        return obs.registry().snapshot()
+        """The pool's own metrics — always on: the ``pool.*`` serve,
+        warm, dispatch and liveness series and the ``health.*`` SLO
+        windows — over the :mod:`repro.obs` registry snapshot, which
+        holds the master process's metrics plus every delta the
+        workers have shipped so far (empty while observability never
+        ran)."""
+        snap = obs.registry().snapshot()
+        with self._lock:
+            snap.update(self._registry.snapshot())
+        return snap
 
     # ------------------------------------------------------------------
     # health (DESIGN.md §15)
@@ -707,6 +676,7 @@ class WarmWorkerPool:
             started, closed = self._started, self._closed
             pending = len(self._pending)
             detail = self._worker_rows(now)
+            slo_report = obs.evaluate_slos(self.slos, self._registry)
         total = len(detail)
         alive = sum(row["alive"] for row in detail)
         stalled = sum(row["stalled"] for row in detail)
@@ -720,10 +690,6 @@ class WarmWorkerPool:
             state = "degraded"
         else:
             state = "ready"
-        if obs.enabled():
-            slo_report = obs.evaluate_slos(self.slos)
-        else:
-            slo_report = {"status": "ok", "slos": []}
         audit = self._last_audit
         audit_ok = audit is None or audit.get("ok", False)
         if state == "ready":
@@ -753,36 +719,46 @@ class WarmWorkerPool:
         """True while forked workers are serving commands."""
         return bool(self.workers) and self._started and not self._closed
 
-    def _broadcast(self, msg):
-        if not self._forked():
-            return
-        frame = _frame(msg)  # pickled once for every worker
+    def _apply(self, method, *args, **kwargs):
+        """Run catalog ``method`` on the master catalog, then replay it
+        on every worker — also after a
+        :class:`~repro.errors.NegativeCycleError`, which is raised once
+        the replay is sent (the weights are applied in that case)."""
+        failure = None
+        # under the lock: with workers=0 the master catalog is the
+        # serving catalog, and submit() executes queries against it
+        # from concurrent server handler threads
         with self._lock:
-            if self._closed:
-                return
-            for wid in self._socks:
-                if wid not in self._dead:
-                    self._send(wid, frame)
+            try:
+                out = getattr(self.catalog, method)(*args, **kwargs)
+            except NegativeCycleError as exc:
+                failure = exc
+            if self._forked():
+                frame = _frame(("apply", method, args, kwargs))
+                for wid in self._socks:
+                    if wid not in self._dead:
+                        self._send(wid, frame)
+        if failure is not None:
+            raise failure
+        return out
 
-    def _ask_workers(self, verb, *args):
-        """Send ``(verb, job_id, *args)`` to every live worker as an
+    def _ask_workers(self, method, *args, **kwargs):
+        """Call catalog ``method`` in every live worker as an
         accounting-free job (not a query: it moves no occupancy
         counter); returns ``{worker_id: Future}``."""
         futures = {}
-        if not self._forked():
-            return futures
         with self._lock:
-            if self._closed:
+            if not self._forked():
                 return futures
             for wid in self._procs:
                 if wid in self._dead:
                     continue
                 self._job_counter += 1
                 job_id = self._job_counter
-                futures[wid] = self._futures[job_id] = _PoolFuture(self)
-                self._assigned[job_id] = wid
-                self._job_kind[job_id] = verb
-                self._send(wid, _frame((verb, job_id) + args))
+                futures[wid] = fut = _PoolFuture(self)
+                self._jobs[job_id] = [fut, None, wid]
+                self._send(wid, _frame(("call", job_id, method, args,
+                                        kwargs)))
         return futures
 
     def _worker_rows(self, now):
@@ -794,8 +770,8 @@ class WarmWorkerPool:
                      "alive": self._started and not self._closed,
                      "stalled": False, "pid": os.getpid(),
                      "heartbeat_age_s": 0.0, "inflight": 0,
-                     "completed": sum(row["count"]
-                                      for row in self._by_kind.values())}]
+                     "completed": sum(row["count"] for row
+                                      in self._by_kind().values())}]
         rows = []
         for wid, proc in self._procs.items():
             alive = wid not in self._dead
@@ -820,9 +796,9 @@ class WarmWorkerPool:
             count, wid = min(candidates)
             job_id, query, body, ctx, t_submit = \
                 self._pending.popleft()
-            self._assigned[job_id] = wid
+            self._jobs[job_id][2] = wid
             self._inflight[wid] = count + 1
-            obs.inc("pool.dispatched")
+            self._registry.inc("pool.dispatched")
             self._send(wid, _frame(
                 ("query", job_id, query, body, ctx, t_submit)))
 
@@ -856,18 +832,35 @@ class WarmWorkerPool:
                 | (selectors.EVENT_WRITE if box else 0), wid)
 
     def _account(self, kind, result):
-        row = self._by_kind.setdefault(
-            kind, {"count": 0, "warm": 0, "seconds": 0.0})
-        row["count"] += 1
-        row["warm"] += bool(result.warm)
-        row["seconds"] += getattr(result, "seconds", 0.0)
-        # the same rollup, re-expressed over the metrics registry
-        # (what the ``metrics`` wire verb exports)
-        obs.inc(f"pool.completed.{kind}")
+        """Record one served query of ``kind``: its
+        :class:`~repro.service.queries.QueryResult`, or None when it
+        failed.  Caller holds the lock."""
+        if result is None:
+            # a failure carries no serve time; the window counts it
+            self._registry.observe_windowed(ERROR_PREFIX + kind, 0.0)
+            return
+        self._registry.observe(f"pool.serve_seconds.{kind}",
+                               result.seconds)
         if result.warm:
-            obs.inc(f"pool.warm.{kind}")
-        obs.observe(f"pool.serve_seconds.{kind}",
-                    getattr(result, "seconds", 0.0))
+            self._registry.inc(f"pool.warm.{kind}")
+        self._registry.observe_windowed(LATENCY_PREFIX + kind,
+                                        result.seconds)
+
+    def _by_kind(self):
+        """``{kind: {"count", "warm", "seconds"}}`` over the served
+        queries, in order of each kind's first success.  Caller holds
+        the lock."""
+        prefix = "pool.serve_seconds."
+        snap = self._registry.snapshot()
+        rows = {}
+        for name, hist in snap.items():
+            if name.startswith(prefix):
+                kind = name[len(prefix):]
+                warm = snap.get("pool.warm." + kind)
+                rows[kind] = {"count": hist["count"],
+                              "warm": warm["value"] if warm else 0,
+                              "seconds": hist["sum"]}
+        return rows
 
     # ------------------------------------------------------------------
     # the reader role
@@ -980,19 +973,15 @@ class WarmWorkerPool:
         with self._lock:
             self._last_seen[wid] = now  # every frame proves liveness
             for job_id, ok, payload, _ in msgs:
-                if job_id is None:
-                    continue  # pure heartbeat, nothing to resolve
-                fut = self._futures.pop(job_id, None)
-                kind = self._job_kind.pop(job_id, "query")
-                self._assigned.pop(job_id, None)
-                if kind == "query":
+                job = self._jobs.pop(job_id, None)
+                if job is None:
+                    continue  # a heartbeat, or a job close() failed
+                fut, kind, _ = job
+                if kind is not None:
                     self._inflight[wid] = max(0, self._inflight[wid] - 1)
                     self._completed[wid] += 1
-                    if ok:
-                        self._account(type(payload.query).__name__,
-                                      payload)
-                if fut is not None:
-                    settled.append((fut, ok, payload))
+                    self._account(kind, payload if ok else None)
+                settled.append((fut, ok, payload))
             if eof:
                 # the worker exited, or close() shut the socket down
                 self._selector.unregister(sock)
@@ -1028,26 +1017,20 @@ class WarmWorkerPool:
         self._dead.add(wid)
         self._inflight[wid] = 0
         self._outbox[wid].clear()
-        obs.inc("pool.worker_deaths")
-        obs.set_gauge("pool.workers_alive",
-                      len(self._procs) - len(self._dead))
+        self._registry.inc("pool.worker_deaths")
+        self._registry.set_gauge("pool.workers_alive",
+                                 len(self._procs) - len(self._dead))
+        # with no worker left, the pending jobs (worker None) fail too
+        orphans = len(self._dead) == len(self._procs)
         doomed = []
-        for job_id, owner in list(self._assigned.items()):
-            if owner == wid:
-                fut = self._futures.pop(job_id, None)
-                self._assigned.pop(job_id, None)
-                self._job_kind.pop(job_id, None)
-                if fut is not None:
-                    doomed.append((fut, False, ServiceError(
-                        f"worker {wid} died mid-query")))
-        if len(self._dead) == len(self._procs):
-            while self._pending:
-                job_id = self._pending.popleft()[0]
-                fut = self._futures.pop(job_id, None)
-                self._job_kind.pop(job_id, None)
-                if fut is not None:
-                    doomed.append((fut, False, ServiceError(
-                        "all pool workers died")))
+        for job_id, (fut, _, owner) in list(self._jobs.items()):
+            if owner == wid or (orphans and owner is None):
+                del self._jobs[job_id]
+                doomed.append((fut, False, ServiceError(
+                    f"worker {wid} died mid-query" if owner == wid
+                    else "all pool workers died")))
+        if orphans:
+            self._pending.clear()
         self._fill()
         return doomed
 
@@ -1087,12 +1070,11 @@ class WarmWorkerPool:
         with self._lock:
             pending = len(self._pending)
             rows = self._worker_rows(now)
-        obs.set_gauge("pool.queue_depth", pending)
-        obs.set_gauge("pool.inflight", sum(row["inflight"] for row in rows))
-        obs.set_gauge("pool.workers_alive",
-                      sum(row["alive"] for row in rows))
-        obs.set_gauge("pool.workers_stalled",
-                      sum(row["stalled"] for row in rows))
+        gauge = self._registry.set_gauge
+        gauge("pool.queue_depth", pending)
+        gauge("pool.inflight", sum(row["inflight"] for row in rows))
+        gauge("pool.workers_alive", sum(row["alive"] for row in rows))
+        gauge("pool.workers_stalled", sum(row["stalled"] for row in rows))
         self._maybe_audit(now)
 
     def _maybe_audit(self, now):
@@ -1123,9 +1105,9 @@ class WarmWorkerPool:
                 report["ok"] = False
                 report["graphs"][name] = (f"{type(exc).__name__}: "
                                           f"{exc}")
-        obs.inc("pool.background_audits")
+        self._registry.inc("pool.background_audits")
         if not report["ok"]:
-            obs.inc("pool.background_audit_failures")
+            self._registry.inc("pool.background_audit_failures")
         self._last_audit = report
 
 

@@ -165,10 +165,10 @@ def execute_query(catalog, query):
     ``query.execute`` span — the per-query root when no trace context
     is active (this is where a trace id is minted), a child span when
     one arrived over the wire or in a pool query frame — and feeds the
-    ``service.result.hit``/``miss`` counters, a per-kind latency
-    histogram, and the rolling ``health.query_seconds.<kind>`` /
-    ``health.error_seconds.<kind>`` windows that
-    :mod:`repro.obs.health` evaluates SLOs against.
+    ``service.result.hit``/``miss`` counters and a per-kind latency
+    histogram.  The SLO windows are the serving pool's to write
+    (:class:`~repro.server.pool.WarmWorkerPool`), where every query
+    completes.
     """
     # the one instrumented site that keeps a disabled body (DESIGN.md
     # §13): a warm hit is a few microseconds, so even no-op span and
@@ -180,22 +180,14 @@ def execute_query(catalog, query):
     kind = type(query).__name__
     with obs.span("query.execute", kind=kind,
                   graph=query.graph) as sp:
-        t0 = time.perf_counter()
-        try:
-            entry = catalog.get(query.graph)
-            backend = _backend(query)
-            sp.tag(backend=backend)
-            r = _serve(catalog, entry, query, backend)
-        except Exception:
-            obs.inc(f"health.errors.{kind}")
-            obs.observe_windowed(f"health.error_seconds.{kind}",
-                                 time.perf_counter() - t0)
-            raise
+        entry = catalog.get(query.graph)
+        backend = _backend(query)
+        sp.tag(backend=backend)
+        r = _serve(catalog, entry, query, backend)
         sp.tag(warm=r.warm)
         obs.inc("service.result.hit" if r.warm
                 else "service.result.miss")
         obs.observe(f"service.query_seconds.{kind}", r.seconds)
-        obs.observe_windowed(f"health.query_seconds.{kind}", r.seconds)
         return r
 
 
@@ -265,8 +257,9 @@ def _dispatch(catalog, entry, query, backend, fp):
     if isinstance(query, GirthQuery):
         from repro.core import weighted_girth
 
-        # the engine's cycle oracle is shared-cached per weight
-        # fingerprint (repro._artifacts), so repeats are warm there too
+        # the engine keeps one cycle oracle per topology
+        # (repro._artifacts), synced in place to the current weights,
+        # so a girth after a write starts warm there too
         return weighted_girth(entry.graph, num_trees=query.num_trees,
                               backend=backend)
 

@@ -456,6 +456,45 @@ def test_stalled_worker_detected_and_recovers():
         assert wait_for(recovered)
 
 
+@pytest.mark.parametrize("workers", [0, 1])
+def test_default_health_judges_served_traffic(workers):
+    """With observability off, the default, the pool still accounts
+    every query it serves: one SLO row per served kind, a breach once
+    failures pass the error budget, and the ``pool.*`` series in
+    ``metrics()`` — while the process registry stays empty."""
+    assert not obs.enabled()
+    pool = WarmWorkerPool(workers=workers)
+    pool.register("g", make_grid())
+    with pool:
+        pool.run([DistanceQuery("g", 0, 1), DistanceQuery("g", 0, 2),
+                  FlowQuery("g", 0, 5)])
+        report = pool.health()
+        assert report["status"] == "ok"
+        rows = {s["kind"]: s for s in report["slos"]["slos"]}
+        assert set(rows) == {"DistanceQuery", "FlowQuery"}
+        assert rows["DistanceQuery"]["count"] == 2
+        assert all(s["count"] > 0 and s["status"] == "ok"
+                   for s in rows.values())
+        snap = pool.metrics()
+        assert snap["pool.serve_seconds.DistanceQuery"]["count"] == 2
+        assert snap["pool.serve_seconds.FlowQuery"]["count"] == 1
+        assert snap[LATENCY_PREFIX + "FlowQuery"]["type"] == "windowed"
+        if workers:
+            assert snap["pool.dispatched"]["value"] == 3
+        # one failure in three is past the default 5% error budget
+        with pytest.raises(ServiceError, match="unknown graph"):
+            pool.submit(DistanceQuery("no-such-graph", 0, 1)).result()
+        report = pool.health()
+        assert report["status"] == "breach"
+        rows = {s["kind"]: s for s in report["slos"]["slos"]}
+        assert rows["DistanceQuery"]["status"] == "breach"
+        assert rows["DistanceQuery"]["count"] == 3
+        assert rows["DistanceQuery"]["error_count"] == 1
+        assert rows["FlowQuery"]["status"] == "ok"
+        assert ERROR_PREFIX + "DistanceQuery" in pool.metrics()
+    assert obs.registry().snapshot() == {}
+
+
 def test_health_state_machine_lifecycle():
     pool = WarmWorkerPool(workers=0)
     pool.register("g", make_grid())

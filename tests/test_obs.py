@@ -370,15 +370,17 @@ class TestEndToEndStitching:
         assert all(row["alive"] is True for row in rows)
         pids = {row["pid"] for row in rows}
         assert len(pids) == 2 and os.getpid() not in pids
-        assert "metrics" in stats
-        assert "pool.completed.DistanceQuery" in stats["metrics"]
+        assert "metrics" not in stats
+        snap = served_obs["pool"].metrics()
+        assert snap["pool.serve_seconds.DistanceQuery"]["count"] \
+            == stats["by_kind"]["DistanceQuery"]["count"]
 
     def test_metrics_verb_both_formats(self, served_obs):
         client = served_obs["client"]
         client.query(DistanceQuery("g", 1, 2))
         served_obs["pool"].drain()
         snap = client.metrics()
-        assert snap["pool.completed.DistanceQuery"]["value"] >= 1
+        assert snap["pool.serve_seconds.DistanceQuery"]["count"] >= 1
         # worker-side sites arrive via shipped deltas
         deadline = time.monotonic() + 10
         while "service.query_seconds.DistanceQuery" not in snap:
@@ -386,7 +388,7 @@ class TestEndToEndStitching:
             time.sleep(0.05)
             snap = client.metrics()
         text = client.metrics(format="prometheus")
-        assert "repro_pool_completed_DistanceQuery_total" in text
+        assert "repro_pool_serve_seconds_DistanceQuery_count" in text
         with pytest.raises(ProtocolError):
             client.metrics(format="xml")
 
@@ -428,7 +430,8 @@ def test_workers0_pool_spans_nest_without_shipping():
         spans = ring.spans(name="query.execute")
         assert len(spans) == 1
         assert spans[0]["pid"] == os.getpid()
-        assert pool.metrics()["pool.completed.GirthQuery"]["value"] == 1
+        assert pool.metrics()["pool.serve_seconds.GirthQuery"]["count"] \
+            == 1
         pool.close()
     finally:
         obs.reset()
@@ -512,7 +515,7 @@ class TestCLI:
 
             assert main(["scrape", f"{host}:{port}"]) == 0
             out = capsys.readouterr().out
-            assert "repro_pool_completed_DistanceQuery_total" in out
+            assert "repro_pool_serve_seconds_DistanceQuery_count 1" in out
         finally:
             server.shutdown()
             pool.close()
@@ -592,7 +595,6 @@ class TestDisabledGate:
         obs.inc("x")
         obs.inc("x", 5)
         obs.observe("lat", 0.25)
-        obs.observe_windowed("win", 0.25)
         obs.set_gauge("g", 7)
         assert obs.registry().snapshot() == {}
         # the same helpers write once the layer is on
@@ -663,9 +665,6 @@ class TestDisabledGate:
 _SWITCH_READS = {
     # fork workers in shipping mode
     ("server/pool.py", "WarmWorkerPool.start"): 1,
-    # the stats ``metrics`` section and SLO evaluation exist only on
-    ("server/pool.py", "WarmWorkerPool.stats"): 1,
-    ("server/pool.py", "WarmWorkerPool.health"): 1,
     # the flight recorder is created only with the layer on
     ("server/app.py", "QueryServer.__init__"): 1,
     # the warm hit is a few µs: one flag read, two bodies (bench_obs)

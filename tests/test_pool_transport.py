@@ -220,7 +220,7 @@ def test_worker_killed_mid_frame_fails_only_its_own_futures(method):
             pool._reader = "test"  # hold the reader role: no replies read
         try:
             doomed = pool.submit(huge)
-            [wid] = pool._assigned.values()
+            [(_, _, wid)] = pool._jobs.values()
             survivor = pool.submit(girth)
             sock = pool._socks[wid]
 

@@ -64,6 +64,20 @@ def reference_results(g, queries, name="g"):
     return [execute_query(catalog, q).result for q in queries]
 
 
+def rollup(results):
+    """``stats()["by_kind"]`` recomputed from served envelopes, taken
+    in completion order: per query kind, in order of its first
+    success, the count, the warm hits and the summed serve seconds."""
+    rows = {}
+    for r in results:
+        row = rows.setdefault(type(r.query).__name__,
+                              {"count": 0, "warm": 0, "seconds": 0.0})
+        row["count"] += 1
+        row["warm"] += bool(r.warm)
+        row["seconds"] += r.seconds
+    return rows
+
+
 # ----------------------------------------------------------------------
 # wire protocol
 # ----------------------------------------------------------------------
@@ -288,10 +302,22 @@ class TestWarmWorkerPool:
         g = make_grid()
         queries = mixed_queries("g", g)
         expected = reference_results(g, queries)
-        with WarmWorkerPool(workers=0) as pool:
+        with WarmWorkerPool(workers=0) as pool, \
+                WarmWorkerPool(workers=0) as other:
             pool.register("g", g)
-            report = pool.run(queries)
-        assert report.values() == expected
+            other.register("g", g.copy())
+            report = pool.run(queries * 2)
+            other_report = other.run(queries[3:])
+            stats, other_stats = pool.stats(), other.stats()
+        assert report.values() == expected * 2
+        # each pool accounts only its own traffic, key for key and
+        # value for value what a rollup of its envelopes gives
+        assert list(stats["by_kind"].items()) \
+            == list(rollup(report.results).items())
+        assert list(other_stats["by_kind"].items()) \
+            == list(rollup(other_report.results).items())
+        assert stats["occupancy"][0]["completed"] == 2 * len(queries)
+        assert "metrics" not in stats
 
     def test_forked_pool_parity_and_order(self):
         g = make_grid()
@@ -307,6 +333,17 @@ class TestWarmWorkerPool:
             stats = pool.stats()
         assert stats["by_kind"]["DistanceQuery"]["count"] == 6
         assert len(stats["catalogs"]) == 2
+        # replies complete in any order, so the seconds sum may differ
+        # from the rollup's in the last bits
+        want = rollup(report.results)
+        assert set(stats["by_kind"]) == set(want)
+        for kind, row in stats["by_kind"].items():
+            assert (row["count"], row["warm"]) \
+                == (want[kind]["count"], want[kind]["warm"])
+            assert row["seconds"] == pytest.approx(want[kind]["seconds"])
+        assert sum(row["completed"] for row in stats["occupancy"]) \
+            == len(queries)
+        assert all(row["inflight"] == 0 for row in stats["occupancy"])
 
     def test_skewed_mix_uses_every_worker(self):
         g1 = make_grid(4, 4, seed=1)
@@ -682,6 +719,21 @@ class TestServerEndToEnd:
         assert "FlowQuery" in stats["by_kind"]
         assert stats["master"]["artifacts"]["hits"] >= 0
         assert set(stats["catalogs"]) == {"0", "1"}  # JSON object keys
+
+    def test_flag_fields_must_be_json_booleans(self, served):
+        # bool is an int subclass and bool("false") is True: neither
+        # may slip through the wire boundary
+        client = served["client"]
+        before = served["pool"].catalog.get("g").graph
+        with pytest.raises(ProtocolError, match="overwrite"):
+            client.register("g", make_grid(3, 4, seed=23),
+                            overwrite="false")
+        assert served["pool"].catalog.get("g").graph is before
+        with pytest.raises(ProtocolError, match="worker_catalogs"):
+            client.stats(worker_catalogs="no")
+        with pytest.raises(ProtocolError, match="limit"):
+            client.exemplars(limit=True)
+        assert client.ping()["pong"] is True
 
     def test_unknown_graph_raises_service_error(self, served):
         with pytest.raises(ServiceError, match="unknown graph"):
